@@ -1,0 +1,8 @@
+"""Put the benchmark's modules (and the repository sources) on the path."""
+
+import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+sys.path.insert(0, str(HERE.parent.parent / "src"))
