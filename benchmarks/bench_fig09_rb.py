@@ -25,7 +25,7 @@ _LENGTHS = (1, 10, 25, 50, 75, 100)
 def _compression_rb_errors(device, window_size, variant):
     library = device.pulse_library()
     compiled = CompaqtCompiler(
-        window_size=window_size, variant=variant
+        window_size=window_size, codec=variant
     ).compile_library(
         library.subset([("sx", (0,)), ("sx", (1,)), ("cx", (0, 1))])
     )

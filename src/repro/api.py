@@ -145,7 +145,7 @@ _LibrarySource = Union[str, PulseLibrary]
 def compile_library(
     source: "_LibrarySource",
     window_size: int = 16,
-    codec=None,
+    codec="int-DCT-W",
     **compiler_options,
 ) -> CompressedPulseLibrary:
     """Compile a pulse library in one call.

@@ -22,16 +22,12 @@ Usage::
     python -m repro chaos --quick
     python -m repro chaos --devices bogota,guadalupe --seed 7 --ops 400
     python -m repro chaos --quick --trace-sample-rate 1.0
-
-The ``--variant``/``--variants`` spellings remain accepted everywhere
-as deprecated aliases of ``--codec``/``--codecs``.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.analysis import render_table
 from repro.compression.codecs import get_codec, list_codecs
@@ -39,28 +35,6 @@ from repro.core import CompaqtCompiler, qubit_gain, qubits_supported
 from repro.devices import IBM_DEVICE_NAMES, ibm_device
 
 __all__ = ["main", "build_parser"]
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A flag kept only as a deprecated spelling of another flag.
-
-    The CLI twin of :func:`repro.compression.codecs.resolve_codec_arg`:
-    using the old spelling still works, stores into the canonical
-    destination, and emits one :class:`DeprecationWarning` naming the
-    replacement.
-    """
-
-    def __init__(self, *args, preferred: str, **kwargs):
-        self.preferred = preferred
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; pass {self.preferred} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,14 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="int-DCT-W",
         choices=list_codecs(),
         help="codec name (see `repro codecs`)",
-    )
-    report.add_argument(
-        "--variant",
-        dest="codec",
-        choices=list_codecs(),
-        action=_DeprecatedAlias,
-        preferred="--codec",
-        help="deprecated alias of --codec",
     )
     report.add_argument(
         "--threshold", type=float, default=128, help="coefficient threshold"
@@ -192,13 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to every registered codec",
     )
     bench.add_argument(
-        "--variants",
-        dest="codecs",
-        action=_DeprecatedAlias,
-        preferred="--codecs",
-        help="deprecated alias of --codecs",
-    )
-    bench.add_argument(
         "--window-size", type=int, default=16, choices=(8, 16, 32)
     )
     bench.add_argument("--repeats", type=int, default=None)
@@ -225,14 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list_codecs(),
         help="codec to pack with, validated against the registry "
         "(see `repro codecs`)",
-    )
-    pack.add_argument(
-        "--variant",
-        dest="codec",
-        choices=list_codecs(),
-        action=_DeprecatedAlias,
-        preferred="--codec",
-        help="deprecated alias of --codec",
     )
     pack.add_argument(
         "--threshold", type=float, default=128, help="coefficient threshold"
@@ -638,23 +589,34 @@ def _cmd_scalability(args: argparse.Namespace) -> str:
     )
 
 
+def _bench_codecs(args: argparse.Namespace) -> Optional[Tuple[str, ...]]:
+    """The codecs named by ``--codecs`` (default: all); None on error."""
+    if args.codecs is None:
+        return list_codecs()
+    named = tuple(
+        dict.fromkeys(c.strip() for c in args.codecs.split(",") if c.strip())
+    )
+    unknown = [c for c in named if c not in list_codecs()]
+    if not named or unknown:
+        print(
+            f"error: --codecs {args.codecs!r} must name registered codecs "
+            f"(unknown: {unknown}); registered: {', '.join(list_codecs())}"
+        )
+        return None
+    return named
+
+
 def _single_codec_arg(args: argparse.Namespace, profile: str) -> Optional[str]:
     """The one codec a single-codec bench profile runs; None on error."""
     if args.codecs is None:
         return "int-DCT-W"
-    named = tuple(
-        dict.fromkeys(v.strip() for v in args.codecs.split(",") if v.strip())
-    )
+    named = _bench_codecs(args)
+    if named is None:
+        return None
     if len(named) != 1:
         print(
             f"error: the {profile} bench measures one codec per run; "
             f"--codecs named {list(named)}"
-        )
-        return None
-    if named[0] not in list_codecs():
-        print(
-            f"error: unknown codec {named[0]!r}; registered: "
-            f"{', '.join(list_codecs())}"
         )
         return None
     return named[0]
@@ -680,34 +642,59 @@ def _scaling_worker_counts(args: argparse.Namespace):
     return counts
 
 
-def _cmd_bench_network(args: argparse.Namespace) -> int:
+def _run_compression_bench(args: argparse.Namespace, specs) -> Optional[dict]:
+    from repro.perf import render_bench_table, run_compression_bench
+
+    codecs = _bench_codecs(args)
+    if codecs is None:
+        return None
+    repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
+    payload = run_compression_bench(
+        device_specs=specs,
+        codecs=codecs,
+        window_size=args.window_size,
+        repeats=repeats,
+        warmup=args.warmup,
+        mode="decode" if args.decode else "all",
+    )
+    print(render_bench_table(payload))
+    return payload
+
+
+def _run_serving_bench(args: argparse.Namespace, specs) -> Optional[dict]:
+    from repro.perf import render_serving_table, run_serving_bench
+
+    codec = _single_codec_arg(args, "serving")
+    if codec is None:
+        return None
+    repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
+    payload = run_serving_bench(
+        device_specs=specs,
+        n_requests=512 if args.quick else 2048,
+        repeats=repeats,
+        warmup=args.warmup,
+        seed=args.seed,
+        window_size=args.window_size,
+        codec=codec,
+    )
+    print(render_serving_table(payload))
+    return payload
+
+
+def _run_network_bench(args: argparse.Namespace, specs) -> Optional[dict]:
     from repro.perf import (
-        DEFAULT_NETWORK_OUTPUT,
-        NETWORK_FULL_DEVICE_SPECS,
-        NETWORK_QUICK_DEVICE_SPECS,
-        network_gates_ok,
         render_network_table,
         render_scaling_table,
         run_network_bench,
         run_scaling_bench,
-        write_network_json,
     )
 
-    if args.decode or args.serving:
-        print("error: --network is its own bench profile")
-        return 2
-    if args.devices:
-        specs = tuple(s.strip() for s in args.devices.split(",") if s.strip())
-        if not specs:
-            print(f"error: --devices {args.devices!r} names no devices")
-            return 2
-    else:
-        specs = (
-            NETWORK_QUICK_DEVICE_SPECS if args.quick else NETWORK_FULL_DEVICE_SPECS
-        )
     codec = _single_codec_arg(args, "network")
     if codec is None:
-        return 2
+        return None
+    worker_counts = _scaling_worker_counts(args) if args.scaling else ()
+    if worker_counts is None:
+        return None
     # Best-of-2 even in quick mode: a single replay on a noisy CI
     # runner can dip under the throughput gate.
     repeats = args.repeats if args.repeats is not None else (2 if args.quick else 3)
@@ -721,9 +708,6 @@ def _cmd_bench_network(args: argparse.Namespace) -> int:
     )
     print(render_network_table(payload))
     if args.scaling:
-        worker_counts = _scaling_worker_counts(args)
-        if worker_counts is None:
-            return 2
         payload["scaling"] = run_scaling_bench(
             device_specs=specs,
             worker_counts=worker_counts,
@@ -735,143 +719,61 @@ def _cmd_bench_network(args: argparse.Namespace) -> int:
             shm_limit=args.shm_limit,
         )
         print(render_scaling_table(payload["scaling"]))
-    if args.check and not args.output:
-        print("   check mode: gates evaluated, JSON not written")
-    else:
-        path = write_network_json(payload, args.output or DEFAULT_NETWORK_OUTPUT)
-        print(f"   wrote: {path}")
-    ok, failures = network_gates_ok(payload)
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    return 0 if ok else 1
+    return payload
 
 
-def _cmd_bench_serving(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        DEFAULT_SERVING_OUTPUT,
-        SERVING_FULL_DEVICE_SPECS,
-        SERVING_QUICK_DEVICE_SPECS,
-        render_serving_table,
-        run_serving_bench,
-        serving_gates_ok,
-        write_serving_json,
-    )
-
-    if args.decode:
-        print("error: --decode and --serving are different bench profiles")
-        return 2
-    if args.devices:
-        specs = tuple(s.strip() for s in args.devices.split(",") if s.strip())
-        if not specs:
-            print(f"error: --devices {args.devices!r} names no devices")
-            return 2
-    else:
-        specs = (
-            SERVING_QUICK_DEVICE_SPECS if args.quick else SERVING_FULL_DEVICE_SPECS
-        )
-    codec = _single_codec_arg(args, "serving")
-    if codec is None:
-        return 2
-    repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    payload = run_serving_bench(
-        device_specs=specs,
-        n_requests=512 if args.quick else 2048,
-        repeats=repeats,
-        warmup=args.warmup,
-        seed=args.seed,
-        window_size=args.window_size,
-        variant=codec,
-    )
-    print(render_serving_table(payload))
-    if args.check and not args.output:
-        print("   check mode: gates evaluated, JSON not written")
-    else:
-        path = write_serving_json(payload, args.output or DEFAULT_SERVING_OUTPUT)
-        print(f"   wrote: {path}")
-    ok, failures = serving_gates_ok(payload)
+def _report_gates(verdict: Tuple[bool, List[str]]) -> int:
+    """Print each gate failure; exit 0 when every gate holds, else 1."""
+    ok, failures = verdict
     for failure in failures:
         print(f"ERROR: {failure}")
     return 0 if ok else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        DEFAULT_OUTPUT,
-        FULL_DEVICE_SPECS,
-        QUICK_DEVICE_SPECS,
-        render_bench_table,
-        run_compression_bench,
-        write_bench_json,
-    )
+    """Run one bench profile through the shared spec/check/output/gate tail."""
+    from repro import perf
 
-    if args.network:
-        return _cmd_bench_network(args)
-    if args.scaling:
+    if args.network and (args.decode or args.serving):
+        print("error: --network is its own bench profile")
+        return 2
+    if args.scaling and not args.network:
         print("error: --scaling is part of the --network profile")
         return 2
-    if args.serving:
-        return _cmd_bench_serving(args)
+    if args.serving and args.decode:
+        print("error: --decode and --serving are different bench profiles")
+        return 2
+    if args.network:
+        run, gates_ok, output = (
+            _run_network_bench, perf.network_gates_ok, perf.DEFAULT_NETWORK_OUTPUT
+        )
+        quick, full = perf.NETWORK_QUICK_DEVICE_SPECS, perf.NETWORK_FULL_DEVICE_SPECS
+    elif args.serving:
+        run, gates_ok, output = (
+            _run_serving_bench, perf.serving_gates_ok, perf.DEFAULT_SERVING_OUTPUT
+        )
+        quick, full = perf.SERVING_QUICK_DEVICE_SPECS, perf.SERVING_FULL_DEVICE_SPECS
+    else:
+        run, gates_ok, output = (
+            _run_compression_bench, perf.compression_gates_ok, perf.DEFAULT_OUTPUT
+        )
+        quick, full = perf.QUICK_DEVICE_SPECS, perf.FULL_DEVICE_SPECS
     if args.devices:
         specs = tuple(s.strip() for s in args.devices.split(",") if s.strip())
         if not specs:
             print(f"error: --devices {args.devices!r} names no devices")
             return 2
     else:
-        specs = QUICK_DEVICE_SPECS if args.quick else FULL_DEVICE_SPECS
-    if args.codecs is not None:
-        variants = tuple(
-            dict.fromkeys(
-                v.strip() for v in args.codecs.split(",") if v.strip()
-            )
-        )
-        if not variants:
-            print(f"error: --codecs {args.codecs!r} names no codecs")
-            return 2
-        unknown = [v for v in variants if v not in list_codecs()]
-        if unknown:
-            print(
-                f"error: unknown codecs {unknown}; registered: "
-                f"{', '.join(list_codecs())}"
-            )
-            return 2
-    else:
-        variants = list_codecs()
-    repeats = args.repeats if args.repeats is not None else (1 if args.quick else 3)
-    payload = run_compression_bench(
-        device_specs=specs,
-        variants=variants,
-        window_size=args.window_size,
-        repeats=repeats,
-        warmup=args.warmup,
-        mode="decode" if args.decode else "all",
-    )
-    print(render_bench_table(payload))
+        specs = quick if args.quick else full
+    payload = run(args, specs)
+    if payload is None:
+        return 2
     if args.check and not args.output:
         print("   check mode: gates evaluated, JSON not written")
     else:
-        path = write_bench_json(payload, args.output or DEFAULT_OUTPUT)
+        path = perf.write_bench_json(payload, args.output or output)
         print(f"   wrote: {path}")
-    summary = payload["summary"]
-    failures = []
-    if not summary["all_parity_ok"]:
-        failures.append("batched compression mismatches the scalar reference")
-    if not summary["all_decode_parity_ok"]:
-        failures.append("batched decode mismatches the scalar reference")
-    if not summary["all_roundtrip_ok"]:
-        failures.append("bitstream round-trip is not lossless")
-    if not summary["all_fused_parity_ok"]:
-        failures.append("fused parse+decode mismatches the scalar reader path")
-    if not summary["all_parse_parity_ok"]:
-        failures.append("vectorized parse mismatches the scalar reader")
-    if not summary["fused_speedup_gate_ok"]:
-        failures.append(
-            "fused cold-miss decode is under the "
-            f"{summary['fused_speedup_gate']:.0f}x gate on a windowed codec "
-            f"(min {summary['min_fused_speedup_windowed']:.1f}x)"
-        )
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    return 1 if failures else 0
+    return _report_gates(gates_ok(payload))
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
@@ -1184,9 +1086,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
     import pathlib
 
+    from repro.perf import write_bench_json
     from repro.perf.serving_bench import (
         render_soak_table,
         run_serving_soak,
@@ -1220,15 +1122,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(render_soak_table(payload))
     if args.json:
-        from repro.store import atomic_write
-
-        out = pathlib.Path(args.json)
-        atomic_write(out, json.dumps(payload, indent=2) + "\n")
-        print(f"   wrote: {out.resolve()}")
-    ok, failures = soak_gates_ok(payload)
-    for failure in failures:
-        print(f"ERROR: {failure}")
-    return 0 if ok else 1
+        print(f"   wrote: {write_bench_json(payload, args.json)}")
+    return _report_gates(soak_gates_ok(payload))
 
 
 def _cmd_store(args: argparse.Namespace) -> int:

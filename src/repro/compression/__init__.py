@@ -8,7 +8,6 @@ from repro.compression.codecs import (
     resolve_codec,
 )
 from repro.compression.pipeline import (
-    VARIANTS,
     DEFAULT_THRESHOLD,
     CompressedChannel,
     CompressedWaveform,
@@ -66,7 +65,6 @@ __all__ = [
     "list_codecs",
     "register_codec",
     "resolve_codec",
-    "VARIANTS",
     "DEFAULT_THRESHOLD",
     "CompressedChannel",
     "CompressedWaveform",

@@ -29,23 +29,19 @@ handful of matmuls total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.compression.codecs import (
-    ensure_registered,
-    resolve_codec,
-    resolve_codec_arg,
-)
+from repro.compression.codecs import ensure_registered, resolve_codec
 from repro.compression.metrics import mean_squared_error
 from repro.compression.pipeline import (
     DEFAULT_THRESHOLD,
+    CodecLike,
     CompressedChannel,
     CompressedWaveform,
     CompressionResult,
-    VariantLike,
 )
 from repro.compression.window import merge_windows, split_windows
 from repro.pulses.waveform import Waveform
@@ -122,11 +118,9 @@ class BatchCompressionResult:
 def compress_batch(
     waveforms: Sequence[Waveform],
     window_size: int = 16,
-    codec: Optional[VariantLike] = None,
+    codec: CodecLike = "int-DCT-W",
     threshold: float = DEFAULT_THRESHOLD,
     max_coefficients: int = 0,
-    *,
-    variant: Optional[VariantLike] = None,
 ) -> BatchCompressionResult:
     """Compress many waveforms in one vectorized pass.
 
@@ -139,14 +133,12 @@ def compress_batch(
             to ``"int-DCT-W"``.
         threshold: Hard threshold in integer coefficient units.
         max_coefficients: Optional per-window top-k cap.
-        variant: Deprecated alias for ``codec``.
 
     Returns:
         A :class:`BatchCompressionResult` whose entries are bit-identical
         to per-pulse :func:`~repro.compression.pipeline.compress_waveform`
         calls with the same configuration.
     """
-    codec = resolve_codec_arg(codec, variant, default="int-DCT-W")
     codec = ensure_registered(resolve_codec(codec))
     if not waveforms:
         raise CompressionError("cannot batch-compress an empty waveform list")

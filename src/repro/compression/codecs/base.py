@@ -71,7 +71,7 @@ class Codec(abc.ABC):
     all at once.
     """
 
-    #: Canonical registry name (``variant=`` strings resolve to this).
+    #: Canonical registry name (``codec=`` strings resolve to this).
     name: str = ""
     #: Stable bitstream id (u8 in the ``CQW1``/``CQL1`` header).  Ids
     #: 0..2 are the frozen v1 DCT layout and must never be reassigned.

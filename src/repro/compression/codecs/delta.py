@@ -1,7 +1,6 @@
 """The delta codec and the paper's base-delta baseline (Section IV-B).
 
-Two related pieces live here, both single-sourced in this module (the
-old :mod:`repro.transforms.delta` island is now a deprecation shim):
+Two related pieces live here, both single-sourced in this module:
 
 * :class:`DeltaCodec` promotes the paper's base-delta baseline to a
   first-class pipeline codec: each window stores its first sample code

@@ -1,8 +1,7 @@
 """The dictionary codec: per-window mode dictionary plus residuals.
 
-Two related pieces live here, both single-sourced in this module (the
-old :mod:`repro.transforms.dictionary` island is now a deprecation
-shim): the :class:`DictionaryCodec` pipeline codec, and the paper's
+Two related pieces live here, both single-sourced in this module: the
+:class:`DictionaryCodec` pipeline codec, and the paper's
 frequency-dictionary baseline (:func:`dictionary_compress` /
 :func:`dictionary_decompress`, the hit-rate study showing that waveform
 samples "can have arbitrary values, which rarely repeat").

@@ -1,7 +1,7 @@
-"""The codec registry: one place where variant names resolve.
+"""The codec registry: one place where codec names resolve.
 
 Every consumer -- scalar pipeline, batch engine, bitstream, compiler,
-CLI, bench -- resolves codecs here instead of string-matching variant
+CLI, bench -- resolves codecs here instead of string-matching codec
 names.  Registering a codec therefore plugs it into the whole stack at
 once:
 
@@ -11,13 +11,12 @@ once:
     ...     wire_id = 17
     ...     ...
     >>> register_codec(MyCodec())
-    >>> compress_waveform(wf, variant="my-scheme")  # now works everywhere
+    >>> compress_waveform(wf, codec="my-scheme")  # now works everywhere
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.errors import CompressionError
 from repro.compression.codecs.base import Codec
@@ -27,7 +26,6 @@ __all__ = [
     "unregister_codec",
     "get_codec",
     "resolve_codec",
-    "resolve_codec_arg",
     "ensure_registered",
     "list_codecs",
     "codec_for_wire_id",
@@ -98,8 +96,7 @@ def get_codec(name: str) -> Codec:
     """Look up a codec by its registry name.
 
     Raises :class:`CompressionError` naming the registered codecs when
-    the name is unknown -- the message every legacy ``variant=`` string
-    error now routes through.
+    the name is unknown.
     """
     try:
         return _BY_NAME[name]
@@ -109,56 +106,25 @@ def get_codec(name: str) -> Codec:
         ) from None
 
 
-def resolve_codec(variant: Union[str, Codec]) -> Codec:
+def resolve_codec(codec: Union[str, Codec]) -> Codec:
     """Resolve a codec name *or* pass a codec object through.
 
-    This is the single entry point that keeps ``variant="int-DCT-W"``-
-    style string arguments working everywhere while also accepting
-    first-class :class:`Codec` objects.  An object passes through
-    unchanged, but the compress entry points additionally require it to
-    be *registered* (:func:`ensure_registered`): compressed channels,
-    the batch decoder and the bitstream all resolve codecs back by
-    name, so an unregistered object would fail later and further away.
+    This is the single entry point that lets every ``codec=`` argument
+    take either a registry name (``"int-DCT-W"``) or a first-class
+    :class:`Codec` object.  An object passes through unchanged, but the
+    compress entry points additionally require it to be *registered*
+    (:func:`ensure_registered`): compressed channels, the batch decoder
+    and the bitstream all resolve codecs back by name, so an
+    unregistered object would fail later and further away.
     """
-    if isinstance(variant, Codec):
-        return variant
-    if not isinstance(variant, str):
-        raise CompressionError(
-            f"variant must be a codec name or Codec instance, "
-            f"got {type(variant).__name__}"
-        )
-    return get_codec(variant)
-
-
-def resolve_codec_arg(
-    codec: Optional[Union[str, Codec]] = None,
-    variant: Optional[Union[str, Codec]] = None,
-    default: Optional[Union[str, Codec]] = None,
-    stacklevel: int = 3,
-) -> Optional[Union[str, Codec]]:
-    """Merge the ``codec=`` and legacy ``variant=`` spellings of one arg.
-
-    Every public entry point that historically took ``variant=`` now
-    takes ``codec=`` and routes both spellings through this helper, so
-    the deprecation lives in exactly one place.  Passing ``variant=``
-    emits a single :class:`DeprecationWarning` (pointed at the caller
-    via ``stacklevel``); passing both is an error; passing neither
-    yields ``default``.
-    """
-    if variant is not None:
-        if codec is not None:
-            raise CompressionError(
-                "pass codec=..., not both codec= and the deprecated variant="
-            )
-        warnings.warn(
-            "the variant= argument is deprecated; pass codec= instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return variant
-    if codec is not None:
+    if isinstance(codec, Codec):
         return codec
-    return default
+    if not isinstance(codec, str):
+        raise CompressionError(
+            f"codec must be a codec name or Codec instance, "
+            f"got {type(codec).__name__}"
+        )
+    return get_codec(codec)
 
 
 def ensure_registered(codec: Codec) -> Codec:

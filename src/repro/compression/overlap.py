@@ -28,7 +28,7 @@ from repro.errors import CompressionError
 from repro.compression.codecs import ensure_registered, resolve_codec
 from repro.compression.metrics import mean_squared_error
 from repro.compression.pipeline import (
-    VariantLike,
+    CodecLike,
     forward_transform,
     inverse_transform,
 )
@@ -108,21 +108,20 @@ def _crossfade(window_size: int) -> np.ndarray:
 def compress_channel_overlapping(
     codes: np.ndarray,
     window_size: int,
-    variant: VariantLike = "int-DCT-W",
+    codec: CodecLike = "int-DCT-W",
     threshold: float = 128,
     max_coefficients: int = 0,
 ) -> OverlappingChannel:
     """Compress one integer channel with 50%-overlapping windows."""
-    codec = ensure_registered(resolve_codec(variant))
+    codec = ensure_registered(resolve_codec(codec))
     if not codec.windowed:
-        raise CompressionError("overlap requires a windowed variant")
+        raise CompressionError("overlap requires a windowed codec")
     if threshold < 0:
         raise CompressionError(f"threshold must be >= 0, got {threshold}")
     if max_coefficients < 0:
         raise CompressionError(
             f"max_coefficients must be >= 0, got {max_coefficients}"
         )
-    variant = codec.name
     if window_size % 2:
         raise CompressionError(f"window size must be even, got {window_size}")
     codes = np.asarray(codes, dtype=np.int64)
@@ -140,7 +139,7 @@ def compress_channel_overlapping(
         encoded.append(rle_encode_window(kept[0]))
     return OverlappingChannel(
         windows=tuple(encoded),
-        variant=variant,
+        variant=codec.name,
         window_size=window_size,
         original_length=int(codes.size),
     )
@@ -172,7 +171,7 @@ def decompress_channel_overlapping(channel: OverlappingChannel) -> np.ndarray:
 def compress_waveform_overlapping(
     waveform: Waveform,
     window_size: int = 8,
-    variant: VariantLike = "int-DCT-W",
+    codec: CodecLike = "int-DCT-W",
     threshold: float = 128,
     max_coefficients: int = 0,
 ) -> OverlappingCompressionResult:
@@ -180,10 +179,10 @@ def compress_waveform_overlapping(
     metrics against the original."""
     i_codes, q_codes = waveform.to_fixed_point()
     i_channel = compress_channel_overlapping(
-        i_codes.astype(np.int64), window_size, variant, threshold, max_coefficients
+        i_codes.astype(np.int64), window_size, codec, threshold, max_coefficients
     )
     q_channel = compress_channel_overlapping(
-        q_codes.astype(np.int64), window_size, variant, threshold, max_coefficients
+        q_codes.astype(np.int64), window_size, codec, threshold, max_coefficients
     )
     i_back = decompress_channel_overlapping(i_channel)
     q_back = decompress_channel_overlapping(q_channel)

@@ -1,6 +1,6 @@
 """The COMPAQT compression pipeline over pluggable codecs.
 
-Variant dispatch lives in :mod:`repro.compression.codecs`: any
+Codec dispatch lives in :mod:`repro.compression.codecs`: any
 registered codec (the DCT family of Table II, delta, dictionary, or a
 third-party registration) flows through the same window / threshold /
 RLE machinery below.
@@ -27,7 +27,7 @@ the I and Q occupancies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.compression.codecs import (
     Codec,
     ensure_registered,
     resolve_codec,
-    resolve_codec_arg,
 )
 from repro.compression.metrics import compression_ratio, mean_squared_error
 from repro.compression.window import merge_windows, split_windows
@@ -44,9 +43,7 @@ from repro.pulses.waveform import Waveform
 from repro.transforms.rle import EncodedWindow, rle_encode_window
 
 __all__ = [
-    "VARIANTS",
     "CodecLike",
-    "VariantLike",
     "DEFAULT_THRESHOLD",
     "CompressedChannel",
     "CompressedWaveform",
@@ -61,17 +58,8 @@ __all__ = [
     "inverse_transform_blocks",
 ]
 
-#: The paper's Table II DCT variants.  Kept as a back-compat constant;
-#: the codec registry (:func:`repro.compression.codecs.list_codecs`) is
-#: the authoritative catalog and also carries delta and dictionary.
-VARIANTS = ("DCT-N", "DCT-W", "int-DCT-W")
-
 #: A codec argument: a registry name or a first-class Codec object.
 CodecLike = Union[str, Codec]
-
-#: Legacy spelling of :data:`CodecLike`, kept for annotations written
-#: against the pre-``codec=`` API.
-VariantLike = CodecLike
 
 #: Default hard threshold in integer-coefficient units (16-bit codes).
 #: 128 codes (~0.4% of full scale) keeps every IBM-library window at
@@ -202,11 +190,9 @@ class CompressionResult:
 def compress_channel(
     codes: np.ndarray,
     window_size: int,
-    codec: Optional[CodecLike] = None,
+    codec: CodecLike,
     threshold: float = DEFAULT_THRESHOLD,
     max_coefficients: int = 0,
-    *,
-    variant: Optional[CodecLike] = None,
 ) -> CompressedChannel:
     """Compress one int16 channel into encoded windows.
 
@@ -221,11 +207,7 @@ def compress_channel(
             hard uniform memory width of ``k + 1`` words (Section V-A's
             fixed input-buffer design) at the cost of extra distortion
             -- the mechanism behind Fig 15's WS=8 fidelity losses.
-        variant: Deprecated alias for ``codec``.
     """
-    codec = resolve_codec_arg(codec, variant)
-    if codec is None:
-        raise CompressionError("compress_channel requires a codec")
     codec = ensure_registered(resolve_codec(codec))
     if max_coefficients < 0:
         raise CompressionError(
@@ -279,11 +261,9 @@ def _expand_window(window: EncodedWindow, window_size: int) -> np.ndarray:
 def compress_waveform(
     waveform: Waveform,
     window_size: int = 16,
-    codec: Optional[CodecLike] = None,
+    codec: CodecLike = "int-DCT-W",
     threshold: float = DEFAULT_THRESHOLD,
     max_coefficients: int = 0,
-    *,
-    variant: Optional[CodecLike] = None,
 ) -> CompressionResult:
     """Compress a waveform and report reconstruction quality.
 
@@ -297,13 +277,12 @@ def compress_waveform(
         threshold: Hard threshold in integer coefficient units.
         max_coefficients: Optional per-window top-k cap (see
             :func:`compress_channel`).
-        variant: Deprecated alias for ``codec``.
 
     Returns:
         A :class:`CompressionResult` carrying the compressed form, the
         decompressed (as-played) waveform, MSE and R.
     """
-    codec = resolve_codec(resolve_codec_arg(codec, variant, default="int-DCT-W"))
+    codec = resolve_codec(codec)
     window_size = codec.resolve_window_size(waveform.n_samples, window_size)
     codec.check_window_size(window_size)
     if threshold < 0:
@@ -361,54 +340,21 @@ def decompress_waveform(compressed: CompressedWaveform) -> Waveform:
 # ---------------------------------------------------------------------------
 
 
-def _transform_codec(
-    codec: Optional[CodecLike], variant: Optional[CodecLike]
-) -> Codec:
-    codec = resolve_codec_arg(codec, variant, stacklevel=4)
-    if codec is None:
-        raise CompressionError("transform entry points require a codec")
-    return resolve_codec(codec)
-
-
-def forward_transform(
-    block: np.ndarray,
-    codec: Optional[CodecLike] = None,
-    *,
-    variant: Optional[CodecLike] = None,
-) -> np.ndarray:
+def forward_transform(block: np.ndarray, codec: CodecLike) -> np.ndarray:
     """Public forward transform in the common 16-bit convention."""
-    return _transform_codec(codec, variant).forward(
-        np.asarray(block, dtype=np.int64)
-    )
+    return resolve_codec(codec).forward(np.asarray(block, dtype=np.int64))
 
 
-def inverse_transform(
-    coeffs: np.ndarray,
-    codec: Optional[CodecLike] = None,
-    *,
-    variant: Optional[CodecLike] = None,
-) -> np.ndarray:
+def inverse_transform(coeffs: np.ndarray, codec: CodecLike) -> np.ndarray:
     """Public inverse transform (what the IDCT engine computes)."""
-    return _transform_codec(codec, variant).inverse(
-        np.asarray(coeffs, dtype=np.int64)
-    )
+    return resolve_codec(codec).inverse(np.asarray(coeffs, dtype=np.int64))
 
 
-def forward_transform_blocks(
-    blocks: np.ndarray,
-    codec: Optional[CodecLike] = None,
-    *,
-    variant: Optional[CodecLike] = None,
-) -> np.ndarray:
+def forward_transform_blocks(blocks: np.ndarray, codec: CodecLike) -> np.ndarray:
     """Row-wise :func:`forward_transform` of a window matrix (int64 out)."""
-    return _transform_codec(codec, variant).forward_blocks(blocks)
+    return resolve_codec(codec).forward_blocks(blocks)
 
 
-def inverse_transform_blocks(
-    coeffs: np.ndarray,
-    codec: Optional[CodecLike] = None,
-    *,
-    variant: Optional[CodecLike] = None,
-) -> np.ndarray:
+def inverse_transform_blocks(coeffs: np.ndarray, codec: CodecLike) -> np.ndarray:
     """Row-wise :func:`inverse_transform` of a coefficient matrix."""
-    return _transform_codec(codec, variant).inverse_blocks(coeffs)
+    return resolve_codec(codec).inverse_blocks(coeffs)

@@ -28,11 +28,11 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.compression.codecs import resolve_codec, resolve_codec_arg
+from repro.compression.codecs import resolve_codec
 from repro.compression.metrics import mean_squared_error
 from repro.compression.pipeline import (
+    CodecLike,
     CompressedChannel,
-    VariantLike,
     compress_channel,
     decompress_channel,
 )
@@ -225,11 +225,9 @@ def recalibration_updates(
 def adaptive_compress(
     waveform: Waveform,
     window_size: int = 16,
-    codec: Optional[VariantLike] = None,
+    codec: CodecLike = "int-DCT-W",
     threshold: float = 128,
     min_plateau_windows: int = 2,
-    *,
-    variant: Optional[VariantLike] = None,
 ) -> AdaptiveCompressionResult:
     """Compress a (possibly flat-top) waveform with plateau bypass.
 
@@ -246,13 +244,12 @@ def adaptive_compress(
         threshold: Hard threshold for the ramp segments.
         min_plateau_windows: Minimum plateau length, in windows, worth a
             repeat codeword.
-        variant: Deprecated alias for ``codec``.
     """
     if min_plateau_windows < 1:
         raise CompressionError(
             f"min_plateau_windows must be >= 1, got {min_plateau_windows}"
         )
-    codec = resolve_codec(resolve_codec_arg(codec, variant, default="int-DCT-W"))
+    codec = resolve_codec(codec)
     if not codec.windowed:
         raise CompressionError(
             f"adaptive compression needs a windowed codec, got {codec.name!r}"
@@ -322,7 +319,7 @@ def _window_segment(
     i_codes: np.ndarray,
     q_codes: np.ndarray,
     window_size: int,
-    codec: VariantLike,
+    codec: CodecLike,
     threshold: float,
 ) -> WindowSegment:
     return WindowSegment(

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.errors import CompressionError, DeviceError
 from repro.compression.batch import compress_batch, decompress_batch
-from repro.compression.codecs import resolve_codec, resolve_codec_arg
+from repro.compression.codecs import resolve_codec
 from repro.compression.bitstream import (
     LibraryBitstream,
     LibraryEntry,
@@ -25,8 +25,8 @@ from repro.compression.bitstream import (
     serialize_library,
 )
 from repro.compression.pipeline import (
+    CodecLike,
     CompressionResult,
-    VariantLike,
     DEFAULT_THRESHOLD,
     compress_waveform,
 )
@@ -245,31 +245,23 @@ class CompaqtCompiler:
             engine (one matmul per library instead of one per window).
             Bit-identical to the scalar path; set False to force the
             per-window reference implementation.
-        variant: Deprecated alias for ``codec``.
 
     Attributes:
         codec: The resolved :class:`~repro.compression.codecs.Codec`.
-        variant: Its canonical name (kept for library metadata and
-            back-compat with the string API).
     """
 
     def __init__(
         self,
         window_size: int = 16,
-        codec: Optional[VariantLike] = None,
+        codec: CodecLike = "int-DCT-W",
         threshold: float = DEFAULT_THRESHOLD,
         fidelity_aware: bool = False,
         target_mse: float = DEFAULT_TARGET_MSE,
         max_coefficients: int = 0,
         batched: bool = True,
-        *,
-        variant: Optional[VariantLike] = None,
     ) -> None:
         self.window_size = window_size
-        self.codec = resolve_codec(
-            resolve_codec_arg(codec, variant, default="int-DCT-W")
-        )
-        self.variant = self.codec.name
+        self.codec = resolve_codec(codec)
         self.threshold = threshold
         self.fidelity_aware = fidelity_aware
         self.target_mse = target_mse
@@ -306,7 +298,7 @@ class CompaqtCompiler:
         compressed = CompressedPulseLibrary(
             device_name=library.device_name,
             window_size=self.window_size,
-            variant=self.variant,
+            variant=self.codec.name,
         )
         keys = library.keys()
         if self.batched and not self.fidelity_aware:

@@ -34,10 +34,8 @@ when any parity or round-trip gate reports a mismatch.
 from __future__ import annotations
 
 import gc
-import json
-import pathlib
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +55,6 @@ from repro.compression.pipeline import decompress_waveform
 from repro.core.compiler import CompaqtCompiler, CompressedPulseLibrary
 from repro.devices import IBM_DEVICE_NAMES, fluxonium_device, google_device, ibm_device
 from repro.perf.runner import TimingStats, time_callable
-from repro.store.atomic import atomic_write
 from repro.version import __version__
 
 __all__ = [
@@ -70,7 +67,7 @@ __all__ = [
     "resolve_device",
     "run_compression_bench",
     "render_bench_table",
-    "write_bench_json",
+    "compression_gates_ok",
 ]
 
 BENCH_SCHEMA = "compaqt-bench-compression/v4"
@@ -80,6 +77,15 @@ BENCH_SCHEMA = "compaqt-bench-compression/v4"
 #: on every windowed codec (full-frame codecs are reported, not gated:
 #: their decode cost is one big matmul either way).
 FUSED_SPEEDUP_GATE = 10.0
+
+#: The bit-identity flags of a bench summary and what a false one means.
+_PARITY_GATES = (
+    ("all_parity_ok", "batched compression mismatches the scalar reference"),
+    ("all_decode_parity_ok", "batched decode mismatches the scalar reference"),
+    ("all_roundtrip_ok", "bitstream round-trip is not lossless"),
+    ("all_fused_parity_ok", "fused parse+decode mismatches the scalar reader path"),
+    ("all_parse_parity_ok", "vectorized parse mismatches the scalar reader"),
+)
 
 #: What to measure: the full pipeline, or just one side of the codec.
 BENCH_MODES = ("all", "encode", "decode")
@@ -251,7 +257,7 @@ def _bench_bitstream(compiled, repeats: int, warmup: int) -> Dict:
 
 def run_compression_bench(
     device_specs: Sequence[str] = QUICK_DEVICE_SPECS,
-    variants: Optional[Sequence[str]] = None,
+    codecs: Optional[Sequence[str]] = None,
     window_size: int = 16,
     repeats: int = 3,
     warmup: int = 1,
@@ -261,7 +267,7 @@ def run_compression_bench(
     """Run the encode/decode/bitstream library benchmark.
 
     Args:
-        variants: Codec names to measure; defaults to every registered
+        codecs: Codec names to measure; defaults to every registered
             codec (``repro codecs``).
         mode: ``"all"`` measures everything; ``"encode"`` times only the
             compile side; ``"decode"`` skips the (slow) scalar compile
@@ -273,12 +279,12 @@ def run_compression_bench(
     ``all_decode_parity_ok``, ``all_roundtrip_ok`` -- are the
     bit-identity verdicts CI fails on.
     """
-    if variants is None:
-        variants = tuple(list_codecs())
+    if codecs is None:
+        codecs = tuple(list_codecs())
     if not device_specs:
         raise DeviceError("bench needs at least one device spec")
-    if not variants:
-        raise DeviceError("bench needs at least one variant")
+    if not codecs:
+        raise DeviceError("bench needs at least one codec")
     if mode not in BENCH_MODES:
         raise DeviceError(f"unknown bench mode {mode!r}; expected one of {BENCH_MODES}")
     entries: List[Dict] = []
@@ -287,8 +293,8 @@ def run_compression_bench(
         library = device.pulse_library()
         n_pulses = len(library)
         total_samples = library.total_samples
-        for variant in variants:
-            kwargs = {"window_size": window_size, "variant": variant}
+        for codec in codecs:
+            kwargs = {"window_size": window_size, "codec": codec}
             if threshold is not None:
                 kwargs["threshold"] = threshold
             if mode == "decode":
@@ -303,7 +309,7 @@ def run_compression_bench(
             entry = {
                 "device": device.name,
                 "spec": spec,
-                "variant": variant,
+                "variant": codec,
                 "window_size": window_size,
                 "n_pulses": n_pulses,
                 "total_samples": int(total_samples),
@@ -334,14 +340,14 @@ def run_compression_bench(
     # roll-up per registered codec so CI legs and later PRs can gate on
     # a single scheme without re-deriving it from the entry list.
     codecs_section: Dict[str, Dict] = {}
-    for variant in variants:
-        rows = [e for e in entries if e["variant"] == variant]
+    for codec in codecs:
+        rows = [e for e in entries if e["variant"] == codec]
         enc, dec = _speedups(rows, "encode"), _speedups(rows, "decode")
         fused = _speedups(rows, "decode", "fused_speedup")
         parse = _speedups(rows, "bitstream", "parse_speedup")
-        codecs_section[variant] = {
+        codecs_section[codec] = {
             "n_entries": len(rows),
-            "windowed": get_codec(variant).windowed,
+            "windowed": get_codec(codec).windowed,
             "encode": {
                 "parity_ok": _gate(rows, "encode", "parity"),
                 "min_speedup": min(enc) if enc else None,
@@ -381,7 +387,7 @@ def run_compression_bench(
         "created_unix": time.time(),
         "config": {
             "devices": list(device_specs),
-            "variants": list(variants),
+            "variants": list(codecs),
             "window_size": window_size,
             "repeats": repeats,
             "warmup": warmup,
@@ -406,10 +412,8 @@ def run_compression_bench(
                 min(windowed_fused) if windowed_fused else None
             ),
             "fused_speedup_gate": FUSED_SPEEDUP_GATE,
-            "fused_speedup_gate_ok": (
-                min(windowed_fused) >= FUSED_SPEEDUP_GATE
-                if windowed_fused
-                else True
+            "fused_speedup_gate_ok": _fused_speedup_ok(
+                min(windowed_fused) if windowed_fused else None
             ),
             "n_entries": len(entries),
         },
@@ -454,13 +458,7 @@ def render_bench_table(payload: Dict) -> str:
             ]
         )
     summary = payload["summary"]
-    gates_ok = (
-        summary["all_parity_ok"]
-        and summary["all_decode_parity_ok"]
-        and summary["all_roundtrip_ok"]
-        and summary["all_fused_parity_ok"]
-        and summary["all_parse_parity_ok"]
-    )
+    gates_ok = all(summary[flag] for flag, _message in _PARITY_GATES)
     notes = []
     if summary["min_speedup"] is not None:
         notes.append(
@@ -485,7 +483,7 @@ def render_bench_table(payload: Dict) -> str:
         f"mode={payload['config']['mode']})",
         [
             "device",
-            "variant",
+            "codec",
             "pulses",
             "enc speedup",
             "dec speedup",
@@ -499,9 +497,24 @@ def render_bench_table(payload: Dict) -> str:
     )
 
 
-def write_bench_json(payload: Dict, path: str = DEFAULT_OUTPUT) -> pathlib.Path:
-    """Write the payload to disk (atomically); returns the resolved path."""
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write(out, json.dumps(payload, indent=2) + "\n")
-    return out.resolve()
+def _fused_speedup_ok(min_windowed: Optional[float]) -> bool:
+    """The fused cold-miss gate; vacuous when no windowed codec ran."""
+    return min_windowed is None or min_windowed >= FUSED_SPEEDUP_GATE
+
+
+def compression_gates_ok(payload: Dict) -> Tuple[bool, List[str]]:
+    """CI verdict: (ok, failure messages).
+
+    Every parity and round-trip flag is a hard bit-identity gate; the
+    fused cold-miss speedup holds the committed :data:`FUSED_SPEEDUP_GATE`.
+    """
+    summary = payload["summary"]
+    failures = [message for flag, message in _PARITY_GATES if not summary[flag]]
+    fused_min = summary["min_fused_speedup_windowed"]
+    if not _fused_speedup_ok(fused_min):
+        failures.append(
+            "fused cold-miss decode is under the "
+            f"{FUSED_SPEEDUP_GATE:.0f}x gate on a windowed codec "
+            f"(min {fused_min:.1f}x)"
+        )
+    return (not failures, failures)

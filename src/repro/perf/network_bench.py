@@ -39,7 +39,6 @@ pool decode when workers are attached) with a well-formed breakdown
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import queue
@@ -68,7 +67,6 @@ from repro.serve_net.loadgen import run_closed_loop, run_open_loop
 from repro.serve_net.server import serve_in_thread
 from repro.serve_net.workers import DecodePool
 from repro.store import PulseServer, save_store, synthetic_trace
-from repro.store.atomic import atomic_write
 from repro.version import __version__
 
 __all__ = [
@@ -87,7 +85,6 @@ __all__ = [
     "run_scaling_bench",
     "render_network_table",
     "render_scaling_table",
-    "write_network_json",
     "network_gates_ok",
 ]
 
@@ -864,16 +861,6 @@ def render_network_table(payload: Dict) -> str:
         rows,
         note=", ".join(notes),
     )
-
-
-def write_network_json(
-    payload: Dict, path: str = DEFAULT_NETWORK_OUTPUT
-) -> pathlib.Path:
-    """Write the payload to disk (atomically); returns the resolved path."""
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write(out, json.dumps(payload, indent=2) + "\n")
-    return out.resolve()
 
 
 def network_gates_ok(payload: Dict) -> Tuple[bool, List[str]]:

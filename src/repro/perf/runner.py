@@ -5,15 +5,21 @@ callable, a few warmup calls to populate caches (device libraries and
 the lru-cached DCT matrices), then best/mean/std over the timed repeats.
 Best-of-N is the headline number (least scheduler noise); mean and std
 are kept so regressions can be judged against run-to-run jitter.
+:func:`write_bench_json` is the one writer every bench payload goes
+through.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple, Union
 
-__all__ = ["TimingStats", "time_callable"]
+from repro.store.atomic import atomic_write
+
+__all__ = ["TimingStats", "time_callable", "write_bench_json"]
 
 
 @dataclass(frozen=True)
@@ -75,3 +81,15 @@ def time_callable(
         ),
         result,
     )
+
+
+def write_bench_json(payload: Dict, path: Union[str, pathlib.Path]) -> pathlib.Path:
+    """Write a bench payload to disk atomically; returns the resolved path.
+
+    Parent directories are created, so ``--output`` may point into an
+    artifact directory that does not exist yet.
+    """
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(out, json.dumps(payload, indent=2) + "\n")
+    return out.resolve()

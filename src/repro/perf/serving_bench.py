@@ -45,7 +45,6 @@ writer commits (``readers_nonblocking_ok``).
 
 from __future__ import annotations
 
-import json
 import pathlib
 import random
 import sys
@@ -69,7 +68,6 @@ from repro.store import (
     PulseServer,
     ShardedStore,
     StoreWriter,
-    atomic_write,
     open_store,
     save_store,
     synthetic_trace,
@@ -88,7 +86,6 @@ __all__ = [
     "measure_record_memory",
     "run_serving_bench",
     "render_serving_table",
-    "write_serving_json",
     "serving_gates_ok",
     "run_serving_soak",
     "render_soak_table",
@@ -402,7 +399,7 @@ def run_serving_bench(
     warmup: int = 1,
     seed: int = 7,
     window_size: int = 16,
-    variant: str = "int-DCT-W",
+    codec: str = "int-DCT-W",
     max_workers: int = 4,
     mixed_commits: int = 4,
 ) -> Dict:
@@ -431,7 +428,7 @@ def run_serving_bench(
         device = resolve_device(spec)
         library = device.pulse_library()
         compiled = CompaqtCompiler(
-            window_size=window_size, variant=variant
+            window_size=window_size, codec=codec
         ).compile_library(library)
         n_pulses = len(compiled)
         with tempfile.TemporaryDirectory(prefix="cqs1-bench-") as tmp:
@@ -505,7 +502,7 @@ def run_serving_bench(
                         {
                             "device": device.name,
                             "spec": spec,
-                            "variant": variant,
+                            "variant": codec,
                             "window_size": window_size,
                             "n_pulses": n_pulses,
                             "n_requests": len(trace),
@@ -571,7 +568,7 @@ def run_serving_bench(
             "warmup": warmup,
             "seed": seed,
             "window_size": window_size,
-            "variant": variant,
+            "variant": codec,
             "max_workers": max_workers,
             "mixed_commits": mixed_commits,
         },
@@ -635,16 +632,6 @@ def render_serving_table(payload: Dict) -> str:
         rows,
         note=", ".join(notes),
     )
-
-
-def write_serving_json(
-    payload: Dict, path: str = DEFAULT_SERVING_OUTPUT
-) -> pathlib.Path:
-    """Write the payload to disk; returns the resolved path."""
-    out = pathlib.Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write(out, (json.dumps(payload, indent=2) + "\n").encode("ascii"))
-    return out.resolve()
 
 
 def serving_gates_ok(payload: Dict) -> Tuple[bool, List[str]]:

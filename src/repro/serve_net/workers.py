@@ -326,8 +326,6 @@ class PoolStats:
             "respawns": self.respawns,
         }
 
-    to_dict = as_dict
-
 
 class _Slot:
     """One worker lane: process + private pipes + shm slab.

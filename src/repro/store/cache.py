@@ -129,9 +129,6 @@ class CacheStats:
             "hit_rate": self.hit_rate,
         }
 
-    # Historical spelling; ``as_dict`` is the shared stats-object surface.
-    to_dict = as_dict
-
 
 class PulseCache:
     """Bounded LRU of decoded waveforms, demand-filled from a store.

@@ -72,9 +72,6 @@ class ServerStats:
             out["pool"] = dict(self.pool)
         return out
 
-    # Historical spelling; ``as_dict`` is the shared stats-object surface.
-    to_dict = as_dict
-
 
 class PulseServer:
     """Thread-safe ``fetch`` / ``fetch_batch`` over store + cache.

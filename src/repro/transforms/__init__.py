@@ -14,11 +14,11 @@ Public surface:
   :func:`rle_encode_window`, :func:`rle_decode_window`.
 - Thresholding: :func:`hard_threshold`, :func:`trailing_zero_run`,
   :func:`kept_coefficients`.
-- Baselines: :func:`delta_compress` / :func:`delta_decompress`,
-  :func:`dictionary_compress` / :func:`dictionary_decompress`
-  (single-sourced in :mod:`repro.compression.codecs` since the schemes
-  became first-class codecs; forwarded lazily from here for
-  back-compat).
+
+The delta and dictionary baselines (:func:`delta_compress`,
+:func:`dictionary_compress` and their inverses) live with their codecs
+in :mod:`repro.compression.codecs.delta` and
+:mod:`repro.compression.codecs.dictionary`.
 """
 
 from repro.transforms.dct import (
@@ -65,35 +65,6 @@ from repro.transforms.threshold import (
     trailing_zero_run,
     kept_coefficients,
 )
-# The delta/dictionary baselines live with their first-class codecs in
-# repro.compression.codecs (PR 3 retired the transforms islands).  They
-# are forwarded lazily (PEP 562) rather than imported here because the
-# codecs package itself imports repro.transforms submodules -- an eager
-# import would be circular -- and so `import repro.transforms` stays a
-# leaf-layer import.
-_BASELINE_HOMES = {
-    "DeltaEncoded": "repro.compression.codecs.delta",
-    "delta_compress": "repro.compression.codecs.delta",
-    "delta_decompress": "repro.compression.codecs.delta",
-    "DictionaryEncoded": "repro.compression.codecs.dictionary",
-    "dictionary_compress": "repro.compression.codecs.dictionary",
-    "dictionary_decompress": "repro.compression.codecs.dictionary",
-}
-
-
-def __getattr__(name: str):
-    import importlib
-
-    if name in ("delta", "dictionary"):
-        # `repro.transforms.delta` used to be bound as a side effect of
-        # the eager baseline imports; keep that attribute access working
-        # by importing the deprecation shim on demand (which warns).
-        return importlib.import_module(f"{__name__}.{name}")
-    home = _BASELINE_HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(home), name)
-
 
 __all__ = [
     "dct",
@@ -130,11 +101,4 @@ __all__ = [
     "hard_threshold",
     "trailing_zero_run",
     "kept_coefficients",
-    # Resolved lazily through module __getattr__ (see _BASELINE_HOMES).
-    "DeltaEncoded",  # noqa: F822
-    "delta_compress",  # noqa: F822
-    "delta_decompress",  # noqa: F822
-    "DictionaryEncoded",  # noqa: F822
-    "dictionary_compress",  # noqa: F822
-    "dictionary_decompress",  # noqa: F822
 ]

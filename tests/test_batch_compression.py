@@ -36,7 +36,7 @@ from repro.transforms.threshold import (
 
 WINDOW_SIZES = (8, 16, 32)
 #: Every registered codec: the DCT family plus the promoted baselines.
-VARIANTS = ("DCT-N", "DCT-W", "int-DCT-W", "delta", "dictionary")
+CODECS = ("DCT-N", "DCT-W", "int-DCT-W", "delta", "dictionary")
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def _assert_bit_identical(waveforms, **kwargs):
 
 
 class TestDeviceParity:
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", CODECS)
     @pytest.mark.parametrize("window_size", WINDOW_SIZES)
     def test_bogota_streams_bit_identical(
         self, bogota_waveforms, variant, window_size
@@ -78,21 +78,21 @@ class TestDeviceParity:
         if variant == "DCT-N" and window_size != WINDOW_SIZES[0]:
             pytest.skip("DCT-N ignores window size")
         _assert_bit_identical(
-            bogota_waveforms, window_size=window_size, variant=variant
+            bogota_waveforms, window_size=window_size, codec=variant
         )
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", CODECS)
     def test_fluxonium_streams_bit_identical(self, fluxonium_waveforms, variant):
-        _assert_bit_identical(fluxonium_waveforms, window_size=16, variant=variant)
+        _assert_bit_identical(fluxonium_waveforms, window_size=16, codec=variant)
 
     def test_top_k_cap_parity(self, bogota_waveforms):
         _assert_bit_identical(
-            bogota_waveforms, window_size=8, variant="int-DCT-W", max_coefficients=2
+            bogota_waveforms, window_size=8, codec="int-DCT-W", max_coefficients=2
         )
 
     def test_zero_threshold_parity(self, bogota_waveforms):
         _assert_bit_identical(
-            bogota_waveforms[:4], window_size=16, variant="DCT-W", threshold=0
+            bogota_waveforms[:4], window_size=16, codec="DCT-W", threshold=0
         )
 
     def test_compiler_batched_matches_scalar(self, bogota_waveforms):
@@ -132,7 +132,7 @@ class TestBatchResult:
         with pytest.raises(CompressionError):
             compress_batch(bogota_waveforms, max_coefficients=-1)
         with pytest.raises(CompressionError):
-            compress_batch(bogota_waveforms, variant="nope")
+            compress_batch(bogota_waveforms, codec="nope")
 
 
 int16s = st.integers(min_value=-32768, max_value=32767)
@@ -146,7 +146,7 @@ class TestKernelParity:
     @settings(max_examples=50, deadline=None)
     def test_forward_blocks_match_scalar(self, rows):
         blocks = np.array(rows, dtype=np.int64)
-        for variant in VARIANTS:
+        for variant in CODECS:
             batched = forward_transform_blocks(blocks, variant)
             for row, out in zip(blocks, batched):
                 assert np.array_equal(forward_transform(row, variant), out)
@@ -155,7 +155,7 @@ class TestKernelParity:
     @settings(max_examples=50, deadline=None)
     def test_inverse_blocks_match_scalar(self, rows):
         coeffs = np.array(rows, dtype=np.int64)
-        for variant in VARIANTS:
+        for variant in CODECS:
             batched = inverse_transform_blocks(coeffs, variant)
             for row, out in zip(coeffs, batched):
                 assert np.array_equal(inverse_transform(row, variant), out)

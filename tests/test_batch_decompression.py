@@ -33,7 +33,7 @@ from repro.pulses import Waveform
 WINDOW_SIZES = (8, 16, 32)
 #: Every registered codec: the Table II DCT family plus the promoted
 #: delta and dictionary baselines.
-VARIANTS = ("DCT-N", "DCT-W", "int-DCT-W", "delta", "dictionary")
+CODECS = ("DCT-N", "DCT-W", "int-DCT-W", "delta", "dictionary")
 #: Windowed codecs (everything but the full-frame DCT-N).
 WINDOWED_VARIANTS = ("DCT-W", "int-DCT-W", "delta", "dictionary")
 #: Variants the cycle-level hardware model supports (its RLE decoder
@@ -89,7 +89,7 @@ class TestRandomWaveformConformance:
     @settings(max_examples=25, deadline=None)
     def test_windowed_variants_all_paths(self, variant, window_size, waveform, threshold):
         compressed = compress_waveform(
-            waveform, window_size=window_size, variant=variant, threshold=threshold
+            waveform, window_size=window_size, codec=variant, threshold=threshold
         ).compressed
         _assert_three_way_identical(
             compressed, check_microarch=variant in MICROARCH_VARIANTS
@@ -102,7 +102,7 @@ class TestRandomWaveformConformance:
         """delta and dictionary are exact at threshold 0: the decoded
         sample codes equal the quantized input codes bit for bit."""
         result = compress_waveform(
-            waveform, window_size=16, variant=variant, threshold=0
+            waveform, window_size=16, codec=variant, threshold=0
         )
         i_codes, q_codes = waveform.to_fixed_point()
         out_i, out_q = result.reconstructed.to_fixed_point()
@@ -113,7 +113,7 @@ class TestRandomWaveformConformance:
     @settings(max_examples=40, deadline=None)
     def test_dct_n_scalar_vs_batched(self, waveform, threshold):
         compressed = compress_waveform(
-            waveform, variant="DCT-N", threshold=threshold
+            waveform, codec="DCT-N", threshold=threshold
         ).compressed
         _assert_three_way_identical(compressed, check_microarch=False)
 
@@ -122,7 +122,7 @@ class TestRandomWaveformConformance:
     def test_single_window_pulses(self, waveform):
         """Pulses shorter than one window exercise the padded tail alone."""
         compressed = compress_waveform(
-            waveform, window_size=8, variant="int-DCT-W"
+            waveform, window_size=8, codec="int-DCT-W"
         ).compressed
         assert compressed.n_windows == 1
         _assert_three_way_identical(compressed, check_microarch=True)
@@ -133,11 +133,11 @@ class TestLibraryConformance:
     def libraries(self):
         library = ibm_device("lima").pulse_library()
         return {
-            variant: CompaqtCompiler(variant=variant).compile_library(library)
-            for variant in VARIANTS
+            variant: CompaqtCompiler(codec=variant).compile_library(library)
+            for variant in CODECS
         }
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", CODECS)
     def test_batch_decode_matches_scalar_per_pulse(self, libraries, variant):
         compiled = libraries[variant]
         entries = [result.compressed for _key, result in compiled]
@@ -183,12 +183,12 @@ class TestLibraryConformance:
             "mix", 0.5 * np.hanning(50) * (1 + 0.3j), dt=1e-9, gate="x", qubits=(1,)
         )
         entries = [
-            compress_waveform(wf, window_size=8, variant="int-DCT-W").compressed,
-            compress_waveform(wf, window_size=32, variant="DCT-W").compressed,
-            compress_waveform(wf, variant="DCT-N").compressed,
-            compress_waveform(wf, window_size=16, variant="int-DCT-W").compressed,
-            compress_waveform(wf, window_size=16, variant="delta").compressed,
-            compress_waveform(wf, window_size=8, variant="dictionary").compressed,
+            compress_waveform(wf, window_size=8, codec="int-DCT-W").compressed,
+            compress_waveform(wf, window_size=32, codec="DCT-W").compressed,
+            compress_waveform(wf, codec="DCT-N").compressed,
+            compress_waveform(wf, window_size=16, codec="int-DCT-W").compressed,
+            compress_waveform(wf, window_size=16, codec="delta").compressed,
+            compress_waveform(wf, window_size=8, codec="dictionary").compressed,
         ]
         decoded = decompress_batch(entries)
         for entry, waveform in zip(entries, decoded):

@@ -49,7 +49,7 @@ def _make_waveform(n=40, name="wf", gate="x", qubits=(0,)):
 
 def _compressed(n=40, variant="int-DCT-W", window_size=16, **kwargs):
     return compress_waveform(
-        _make_waveform(n, **kwargs), window_size=window_size, variant=variant
+        _make_waveform(n, **kwargs), window_size=window_size, codec=variant
     ).compressed
 
 
@@ -115,7 +115,7 @@ class TestWaveformRoundTrip:
         waveform = Waveform("fuzz", samples / max(1.0, np.max(np.abs(samples))),
                             dt=1e-9, gate="x", qubits=(0,))
         compressed = compress_waveform(
-            waveform, window_size=window_size, variant=variant,
+            waveform, window_size=window_size, codec=variant,
             threshold=threshold,
         ).compressed
         blob = serialize_waveform(compressed)

@@ -71,19 +71,20 @@ class TestParser:
 
 class TestBenchCheckMode:
     def test_check_evaluates_gates_without_writing(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, bench_gates
     ):
         monkeypatch.chdir(tmp_path)
         code = main(
             ["bench", "--devices", "bogota", "--codecs", "int-DCT-W", "--check"]
         )
         out = capsys.readouterr().out
-        assert code == 0
+        assert code == bench_gates.exit_code
+        assert bench_gates.identity_ok
         assert "check mode" in out
         assert not (tmp_path / "BENCH_compression.json").exists()
 
     def test_explicit_output_still_writes_under_check(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, bench_gates
     ):
         monkeypatch.chdir(tmp_path)
         # Nested directory: the writers must create parents (CI points
@@ -96,7 +97,8 @@ class TestBenchCheckMode:
             ]
         )
         capsys.readouterr()
-        assert code == 0
+        assert code == bench_gates.exit_code
+        assert bench_gates.identity_ok
         assert target.is_file()
         assert not (tmp_path / "BENCH_compression.json").exists()
 
@@ -134,11 +136,6 @@ class TestPackCommand:
         assert args.shards == 0
         assert args.output is None
 
-    def test_variant_is_a_deprecated_codec_alias(self):
-        with pytest.warns(DeprecationWarning, match="--variant is deprecated"):
-            args = build_parser().parse_args(["pack", "bogota", "--variant", "delta"])
-        assert args.codec == "delta"
-
     def test_codec_validated_against_registry(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pack", "bogota", "--codec", "nope"])
@@ -168,7 +165,7 @@ class TestPackCommand:
             [
                 "pack",
                 "fluxonium-3",
-                "--variant",
+                "--codec",
                 "DCT-W",
                 "--window-size",
                 "8",

@@ -68,7 +68,7 @@ class TestRegistry:
     def test_unknown_variant_through_pipeline(self):
         wf = Waveform("w", 0.5 * np.hanning(32) * (1 + 1j), dt=1e-9)
         with pytest.raises(CompressionError, match="registered codecs"):
-            compress_waveform(wf, variant="DCT-Z")
+            compress_waveform(wf, codec="DCT-Z")
 
     def test_resolve_passes_codec_objects_through(self):
         assert resolve_codec(INT_DCT_W) is INT_DCT_W
@@ -165,7 +165,7 @@ class TestThirdPartyRegistration:
         wf = Waveform(
             "w", 0.4 * np.hanning(40) * (1 - 0.5j), dt=1e-9, gate="x", qubits=(0,)
         )
-        result = compress_waveform(wf, window_size=16, variant="negate", threshold=0)
+        result = compress_waveform(wf, window_size=16, codec="negate", threshold=0)
         i_codes, _ = wf.to_fixed_point()
         np.testing.assert_array_equal(
             result.reconstructed.to_fixed_point()[0], i_codes
@@ -177,12 +177,12 @@ class TestThirdPartyRegistration:
         np.testing.assert_array_equal(
             decompress_waveform(parsed).samples, result.reconstructed.samples
         )
-        batch = compress_batch([wf, wf], window_size=16, variant="negate", threshold=0)
+        batch = compress_batch([wf, wf], window_size=16, codec="negate", threshold=0)
         assert batch[0].compressed == result.compressed
         np.testing.assert_array_equal(
             decompress_batch(batch)[0].samples, result.reconstructed.samples
         )
-        compiled = CompaqtCompiler(variant=negate_codec).compile_library(
+        compiled = CompaqtCompiler(codec=negate_codec).compile_library(
             ibm_device("bogota").pulse_library()
         )
         assert compiled.variant == "negate"
@@ -212,8 +212,8 @@ class TestThirdPartyRegistration:
                 "w", 0.4 * np.hanning(40) * (1 - 0.2j), dt=1e-9, gate="x",
                 qubits=(0,),
             )
-            scalar = compress_waveform(wf, window_size=16, variant=codec)
-            batch = compress_batch([wf, wf], window_size=16, variant=codec)
+            scalar = compress_waveform(wf, window_size=16, codec=codec)
+            batch = compress_batch([wf, wf], window_size=16, codec=codec)
             assert batch[0].compressed == scalar.compressed
             np.testing.assert_array_equal(
                 decompress_batch(batch)[1].samples,
@@ -226,7 +226,7 @@ class TestThirdPartyRegistration:
         codec = register_codec(_NegateCodec())
         try:
             wf = Waveform("w", 0.4 * np.hanning(40) * (1 + 1j), dt=1e-9)
-            compressed = compress_waveform(wf, variant=codec).compressed
+            compressed = compress_waveform(wf, codec=codec).compressed
         finally:
             unregister_codec("negate")
         from repro.compression import serialize_waveform
@@ -462,11 +462,11 @@ class TestUnregisteredCodecObjects:
         wf = Waveform("w", 0.5 * np.hanning(32) * (1 + 1j), dt=1e-9)
         stray = _NegateCodec()  # never registered
         with pytest.raises(CompressionError, match="not registered"):
-            compress_waveform(wf, variant=stray)
+            compress_waveform(wf, codec=stray)
         from repro.compression import compress_batch
 
         with pytest.raises(CompressionError, match="not registered"):
-            compress_batch([wf], variant=stray)
+            compress_batch([wf], codec=stray)
 
     def test_stale_replaced_instance_rejected(self):
         first = register_codec(_NegateCodec())
@@ -474,8 +474,8 @@ class TestUnregisteredCodecObjects:
             second = register_codec(_NegateCodec(), replace=True)
             wf = Waveform("w", 0.5 * np.hanning(32) * (1 + 1j), dt=1e-9)
             with pytest.raises(CompressionError, match="not registered"):
-                compress_waveform(wf, variant=first)
-            assert compress_waveform(wf, variant=second).compressed.variant == "negate"
+                compress_waveform(wf, codec=first)
+            assert compress_waveform(wf, codec=second).compressed.variant == "negate"
         finally:
             unregister_codec("negate")
 

@@ -97,7 +97,7 @@ class TestBoundaryDistortionFix:
 class TestValidation:
     def test_dct_n_rejected(self):
         with pytest.raises(CompressionError):
-            compress_channel_overlapping(np.ones(32, dtype=int), 32, variant="DCT-N")
+            compress_channel_overlapping(np.ones(32, dtype=int), 32, codec="DCT-N")
 
     def test_odd_window_rejected(self):
         with pytest.raises(CompressionError):

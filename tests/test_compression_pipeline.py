@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import CompressionError
 from repro.compression import (
-    VARIANTS,
     compress_waveform,
     compress_channel,
     decompress_channel,
@@ -18,6 +17,9 @@ from repro.compression import (
 )
 from repro.compression.pipeline import forward_transform, inverse_transform
 from repro.pulses import Waveform, drag, gaussian_square
+
+#: The paper's Table II DCT codecs.
+DCT_CODECS = ("DCT-N", "DCT-W", "int-DCT-W")
 
 
 def _drag_waveform(n=144, amp=0.18):
@@ -92,10 +94,10 @@ class TestChannelCodec:
 
 
 class TestCompressWaveform:
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", DCT_CODECS)
     def test_reconstruction_faithful(self, variant):
         wf = _drag_waveform()
-        result = compress_waveform(wf, window_size=16, variant=variant)
+        result = compress_waveform(wf, window_size=16, codec=variant)
         assert result.mse < 5e-5
         assert result.reconstructed.n_samples == wf.n_samples
         assert result.reconstructed.gate == "x"
@@ -118,14 +120,14 @@ class TestCompressWaveform:
         windowed variants."""
         wf = _flat_top_waveform()
         windowed = compress_waveform(wf, window_size=16).compression_ratio
-        full = compress_waveform(wf, variant="DCT-N").compression_ratio
+        full = compress_waveform(wf, codec="DCT-N").compression_ratio
         assert full > 4 * windowed
 
     def test_int_variant_mse_at_least_float(self):
         """Fig 7c: integer approximation adds (slight) extra error."""
         wf = _flat_top_waveform()
-        int_mse = compress_waveform(wf, window_size=16, variant="int-DCT-W", threshold=0).mse
-        float_mse = compress_waveform(wf, window_size=16, variant="DCT-W", threshold=0).mse
+        int_mse = compress_waveform(wf, window_size=16, codec="int-DCT-W", threshold=0).mse
+        float_mse = compress_waveform(wf, window_size=16, codec="DCT-W", threshold=0).mse
         assert int_mse >= float_mse * 0.5  # same order; int never much better
 
     def test_mse_grows_with_threshold(self):
@@ -164,7 +166,7 @@ class TestCompressWaveform:
 
     def test_bad_variant_rejected(self):
         with pytest.raises(CompressionError):
-            compress_waveform(_drag_waveform(), variant="DCT-Z")
+            compress_waveform(_drag_waveform(), codec="DCT-Z")
 
     def test_bad_window_size_rejected(self):
         with pytest.raises(CompressionError):

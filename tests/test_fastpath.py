@@ -74,7 +74,7 @@ def _waveform(n, seed=0, gate="x", qubits=(0,)):
 def _record_blob(n=40, variant="int-DCT-W", window_size=16, threshold=128,
                  seed=0):
     compressed = compress_waveform(
-        _waveform(n, seed), window_size=window_size, variant=variant,
+        _waveform(n, seed), window_size=window_size, codec=variant,
         threshold=threshold,
     ).compressed
     return serialize_waveform(compressed), compressed

@@ -9,8 +9,10 @@ from repro.cli import build_parser, main
 from repro.perf import (
     BENCH_SCHEMA,
     FULL_DEVICE_SPECS,
+    FUSED_SPEEDUP_GATE,
     QUICK_DEVICE_SPECS,
     TimingStats,
+    compression_gates_ok,
     render_bench_table,
     resolve_device,
     run_compression_bench,
@@ -77,6 +79,15 @@ def decode_payload():
 
 
 ALL_CODECS = {"DCT-N", "DCT-W", "int-DCT-W", "delta", "dictionary"}
+
+#: The summary flags behind the compression bench's bit-identity gates.
+COMPRESSION_IDENTITY_FLAGS = (
+    "all_parity_ok",
+    "all_decode_parity_ok",
+    "all_roundtrip_ok",
+    "all_fused_parity_ok",
+    "all_parse_parity_ok",
+)
 
 
 class TestCompressionBench:
@@ -187,6 +198,40 @@ class TestCompressionBench:
         assert "parity ok" in text
 
 
+def _compression_summary(min_fused_windowed=12.0, **flags):
+    summary = {flag: True for flag in COMPRESSION_IDENTITY_FLAGS}
+    summary.update(flags)
+    summary["min_fused_speedup_windowed"] = min_fused_windowed
+    return {"summary": summary}
+
+
+class TestCompressionGates:
+    """Gate evaluation on injected summaries: no timing involved."""
+
+    def test_all_gates_hold(self):
+        assert compression_gates_ok(_compression_summary()) == (True, [])
+
+    def test_fused_speedup_bound_is_inclusive(self):
+        assert FUSED_SPEEDUP_GATE == 10.0
+        ok, failures = compression_gates_ok(_compression_summary(10.0))
+        assert ok and not failures
+        ok, failures = compression_gates_ok(_compression_summary(9.9))
+        assert not ok
+        assert failures == [
+            "fused cold-miss decode is under the 10x gate on a windowed "
+            "codec (min 9.9x)"
+        ]
+
+    def test_no_windowed_entries_means_no_speed_gate(self):
+        assert compression_gates_ok(_compression_summary(None))[0]
+
+    @pytest.mark.parametrize("flag", COMPRESSION_IDENTITY_FLAGS)
+    def test_any_parity_flag_false_fails(self, flag):
+        ok, failures = compression_gates_ok(_compression_summary(**{flag: False}))
+        assert not ok
+        assert len(failures) == 1
+
+
 class TestCliBench:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["bench", "--quick"])
@@ -196,7 +241,7 @@ class TestCliBench:
     def test_parser_decode_flag(self):
         assert build_parser().parse_args(["bench", "--decode"]).decode
 
-    def test_bench_decode_command(self, tmp_path, capsys):
+    def test_bench_decode_command(self, tmp_path, capsys, bench_gates):
         out = tmp_path / "bench_decode.json"
         code = main(
             [
@@ -212,14 +257,14 @@ class TestCliBench:
                 str(out),
             ]
         )
-        assert code == 0
+        assert code == bench_gates.exit_code
         payload = json.loads(out.read_text())
+        assert payload == bench_gates.payload
         assert payload["config"]["mode"] == "decode"
-        assert payload["summary"]["all_decode_parity_ok"]
-        assert payload["summary"]["all_roundtrip_ok"]
+        assert bench_gates.identity_ok
         assert all(e["encode"] is None for e in payload["entries"])
 
-    def test_bench_command_writes_json(self, tmp_path, capsys):
+    def test_bench_command_writes_json(self, tmp_path, capsys, bench_gates):
         out = tmp_path / "BENCH_compression.json"
         code = main(
             [
@@ -234,22 +279,22 @@ class TestCliBench:
                 str(out),
             ]
         )
-        assert code == 0
+        assert code == bench_gates.exit_code
         assert out.exists()
         stdout = capsys.readouterr().out
         assert "scalar vs batched" in stdout
         payload = json.loads(out.read_text())
-        assert payload["summary"]["all_parity_ok"]
+        assert bench_gates.identity_ok
         assert {e["variant"] for e in payload["entries"]} == ALL_CODECS
 
-    def test_bench_variants_option(self, tmp_path, capsys):
+    def test_bench_variants_option(self, tmp_path, capsys, bench_gates):
         out = tmp_path / "bench_delta.json"
         code = main(
             [
                 "bench",
                 "--devices",
                 "fluxonium-3",
-                "--variants",
+                "--codecs",
                 "delta",
                 "--repeats",
                 "1",
@@ -259,13 +304,13 @@ class TestCliBench:
                 str(out),
             ]
         )
-        assert code == 0
+        assert code == bench_gates.exit_code
         payload = json.loads(out.read_text())
         assert {e["variant"] for e in payload["entries"]} == {"delta"}
-        assert payload["codecs"]["delta"]["encode"]["parity_ok"]
+        assert bench_gates.identity_ok
 
     def test_bench_unknown_variant_rejected(self, capsys):
-        assert main(["bench", "--variants", "DCT-Z"]) == 2
+        assert main(["bench", "--codecs", "DCT-Z"]) == 2
         assert "registered" in capsys.readouterr().out
 
 
@@ -334,10 +379,10 @@ class TestServingBench:
         from repro.perf import (
             SERVING_BENCH_SCHEMA,
             render_serving_table,
-            write_serving_json,
+            write_bench_json,
         )
 
-        path = write_serving_json(serving_payload, tmp_path / "serving.json")
+        path = write_bench_json(serving_payload, tmp_path / "serving.json")
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == SERVING_BENCH_SCHEMA
         text = render_serving_table(serving_payload)
@@ -368,12 +413,12 @@ class TestCliServingBench:
         assert "different bench profiles" in capsys.readouterr().out
 
     def test_serving_variants_must_name_one_registered_codec(self, capsys):
-        assert main(["bench", "--serving", "--variants", "delta,DCT-W"]) == 2
+        assert main(["bench", "--serving", "--codecs", "delta,DCT-W"]) == 2
         assert "one codec" in capsys.readouterr().out
-        assert main(["bench", "--serving", "--variants", "nope"]) == 2
+        assert main(["bench", "--serving", "--codecs", "nope"]) == 2
         assert "registered" in capsys.readouterr().out
 
-    def test_serving_variant_wired_through(self, tmp_path, capsys):
+    def test_serving_variant_wired_through(self, tmp_path, capsys, bench_gates):
         out = tmp_path / "serving_delta.json"
         code = main(
             [
@@ -382,7 +427,7 @@ class TestCliServingBench:
                 "--quick",
                 "--devices",
                 "bogota",
-                "--variants",
+                "--codecs",
                 "delta",
                 "--repeats",
                 "1",
@@ -392,13 +437,13 @@ class TestCliServingBench:
                 str(out),
             ]
         )
-        assert code == 0
+        assert code == bench_gates.exit_code
         payload = json.loads(out.read_text())
         assert payload["config"]["variant"] == "delta"
         assert all(e["variant"] == "delta" for e in payload["entries"])
-        assert payload["summary"]["all_identity_ok"]
+        assert bench_gates.identity_ok
 
-    def test_bench_serving_command_writes_json(self, tmp_path, capsys):
+    def test_bench_serving_command_writes_json(self, tmp_path, capsys, bench_gates):
         out = tmp_path / "BENCH_serving.json"
         code = main(
             [
@@ -415,9 +460,9 @@ class TestCliServingBench:
                 str(out),
             ]
         )
-        assert code == 0
+        assert code == bench_gates.exit_code
         stdout = capsys.readouterr().out
         assert "Pulse serving" in stdout
         payload = json.loads(out.read_text())
-        assert payload["summary"]["all_identity_ok"]
+        assert bench_gates.identity_ok
         assert payload["config"]["n_requests"] == 512  # the quick profile
