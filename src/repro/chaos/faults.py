@@ -46,7 +46,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.compression.fastpath import decode_records
 from repro.errors import StoreError
 from repro.pulses.waveform import Waveform
 from repro.store.sharded import ShardedStore, normalize_key
@@ -252,10 +251,11 @@ class FaultyStore:
             if position == victim:
                 self._damage(kind, blob, rng)
             views.append(memoryview(bytes(blob)))
-        # Same fused decoder the store uses: a detected fault raises
-        # CompressionError for the batch; an undetectable payload flip
-        # decodes to garbage the identity oracle must flag.
-        waveforms = decode_records(views)
+        # Same fused decoder and layouts the store uses, so damaged
+        # bytes meet the layouts filled from the clean ones: a detected
+        # fault raises CompressionError for the batch; an undetectable
+        # payload flip decodes to garbage the identity oracle must flag.
+        waveforms = self._store.decode_spans(unique, views)
         decoded = dict(zip(unique, waveforms))
         return [decoded[key] for key in keys]
 

@@ -44,6 +44,7 @@ from repro.compression.pipeline import (
     CompressionResult,
 )
 from repro.compression.window import merge_windows, split_windows
+from repro.pulses.quantization import FULL_SCALE
 from repro.pulses.waveform import Waveform
 from repro.transforms.rle import rle_encode_blocks, rle_expand_blocks
 
@@ -52,6 +53,7 @@ __all__ = [
     "compress_batch",
     "decompress_channels",
     "decompress_batch",
+    "finish_samples",
 ]
 
 
@@ -199,6 +201,7 @@ def compress_batch(
             offset += count
 
     # Reassemble per-pulse results in the scalar pipeline's exact shape.
+    finished = finish_samples(recon_by_channel[0::2], recon_by_channel[1::2])
     results: List[CompressionResult] = []
     for p, waveform in enumerate(waveforms):
         ws = pulse_window_sizes[p]
@@ -221,11 +224,10 @@ def compress_batch(
                 original_length=lengths[q_index],
             ),
         )
-        reconstructed = Waveform.from_fixed_point(
-            np.clip(recon_by_channel[i_index], -32768, 32767).astype(np.int16),
-            np.clip(recon_by_channel[q_index], -32768, 32767).astype(np.int16),
-            dt=waveform.dt,
+        reconstructed = Waveform(
             name=f"{waveform.name}~{codec.name}",
+            samples=finished[p],
+            dt=waveform.dt,
             gate=waveform.gate,
             qubits=waveform.qubits,
         )
@@ -328,17 +330,93 @@ def decompress_batch(
         channels.append(entry.i_channel)
         channels.append(entry.q_channel)
     codes = decompress_channels(channels)
-
-    waveforms: List[Waveform] = []
-    for p, entry in enumerate(entries):
-        waveforms.append(
-            Waveform.from_fixed_point(
-                np.clip(codes[2 * p], -32768, 32767).astype(np.int16),
-                np.clip(codes[2 * p + 1], -32768, 32767).astype(np.int16),
-                dt=entry.dt,
-                name=f"{entry.name}~{entry.variant}",
-                gate=entry.gate,
-                qubits=entry.qubits,
-            )
+    return tuple(
+        Waveform(
+            name=f"{entry.name}~{entry.variant}",
+            samples=samples,
+            dt=entry.dt,
+            gate=entry.gate,
+            qubits=entry.qubits,
         )
-    return tuple(waveforms)
+        for entry, samples in zip(
+            entries, finish_samples(codes[0::2], codes[1::2])
+        )
+    )
+
+
+#: Candidate cut for the magnitude clamp.  ``x**2 + y**2`` computed in
+#: float64 is within a few ulp of the exact value, so every sample whose
+#: ``np.abs`` exceeds 1 lies above this cut; only those few candidates
+#: pay for the exact test.
+_CLAMP_CANDIDATE = 1.0 - 1e-12
+
+
+#: Pulses finish together in buffers of about this many samples: large
+#: enough that numpy's per-call costs vanish, small enough that a
+#: whole-library call holds one chunk of temporaries, not a library's.
+_FINISH_CHUNK = 1 << 16
+
+
+def finish_samples(
+    i_parts: Sequence[np.ndarray], q_parts: Sequence[np.ndarray]
+) -> List[np.ndarray]:
+    """Integer I/Q codes -> clamped complex128 samples, one per pulse.
+
+    ``i_parts`` / ``q_parts`` are the per-pulse channel codes (pairwise
+    equal lengths, else :class:`CompressionError`).  Pulses finish
+    together, one pass per stage over one buffer per chunk: clipped
+    codes are dequantized straight into its float64 view, and the
+    magnitude clamp tests ``np.abs(z) > 1`` only on the candidates the
+    cheap ``x**2 + y**2`` cut leaves.  Each returned array owns its
+    samples (no pulse pins the batch's memory) and is bit-identical to
+    ``Waveform.from_fixed_point(clip(i), clip(q)).samples``: the same
+    clip, the same division, and the clamp divides by the same
+    magnitude with the same ufunc.
+    """
+    i_parts = list(i_parts)
+    q_parts = list(q_parts)
+    for i_codes, q_codes in zip(i_parts, q_parts):
+        if i_codes.size != q_codes.size:
+            # The serializer always writes equal-length channels; a
+            # record whose channels disagree is corrupt.
+            raise CompressionError(
+                f"I channel decodes {i_codes.size} samples "
+                f"but Q decodes {q_codes.size}"
+            )
+    finished: List[np.ndarray] = []
+    first, size = 0, 0
+    for last, part in enumerate(i_parts, start=1):
+        size += part.size
+        if size >= _FINISH_CHUNK or last == len(i_parts):
+            finished += _finish_chunk(i_parts[first:last], q_parts[first:last])
+            first, size = last, 0
+    return finished
+
+
+def _finish_chunk(
+    i_parts: List[np.ndarray], q_parts: List[np.ndarray]
+) -> List[np.ndarray]:
+    n = sum(part.size for part in i_parts)
+    samples = np.empty(n, dtype=np.complex128)
+    pairs = samples.view(np.float64).reshape(n, 2)
+    for column, parts in enumerate((i_parts, q_parts)):
+        codes = np.concatenate(parts)  # a fresh buffer: clip it in place
+        np.clip(codes, -FULL_SCALE - 1, FULL_SCALE, out=codes)
+        np.divide(codes, FULL_SCALE, out=pairs[:, column])
+    squares = np.square(pairs)
+    candidates = np.flatnonzero(
+        squares[:, 0] + squares[:, 1] > _CLAMP_CANDIDATE
+    )
+    if candidates.size:
+        near = samples[candidates]
+        magnitude = np.abs(near)
+        over = magnitude > 1.0
+        if over.any():
+            samples[candidates[over]] = near[over] / magnitude[over]
+    if len(i_parts) == 1:
+        return [samples]
+    owned, start = [], 0
+    for part in i_parts:
+        owned.append(samples[start : start + part.size].copy())
+        start += part.size
+    return owned

@@ -7,9 +7,17 @@ critical path, which is exactly where COMPAQT says latency matters
 (decompression happens at gate-issue time).  This module re-implements
 the read side as numpy array passes over the same bytes:
 
-* only the per-**window** u16 headers are walked in Python (their
-  positions are data-dependent: each header says where the next one
-  lives), and that walk just records offsets -- it never touches words;
+* the per-**window** u16 headers are walked in Python only the first
+  time a caller decodes a record (their positions are data-dependent:
+  each header says where the next one lives), and that walk just
+  records word counts -- it never touches words.  The walk's result is
+  a :class:`RecordLayout`; a caller that keeps it (the sharded store
+  keeps one per record of its pinned snapshot) passes it back to
+  :func:`decode_records`, which verifies it against the bytes on every
+  use -- span length, the header bytes up to the first window, the Q
+  channel header, and one vectorized gather of every cached window
+  header -- and falls back to the walk on any mismatch, so a layout
+  can change speed but never a result or an error;
 * every per-**word** operation -- gathering the tagged 32-bit stream
   out of the buffer, splitting tags from payloads, checking reserved
   bits, zero-run placement, run lengths, per-window decoded sizes and
@@ -18,9 +26,11 @@ the read side as numpy array passes over the same bytes:
   (per-channel passes would drown tiny windows in numpy fixed costs);
 * the **fused** decode path (:func:`decode_record_bytes`,
   :func:`decode_records`, :func:`decode_library_bytes`) goes straight
-  from those tag/payload arrays to one dense coefficient matrix and
-  one grouped inverse kernel call per ``(codec, window size)`` --
-  without ever materializing per-window
+  from those tag/payload arrays to one dense coefficient matrix, one
+  grouped inverse kernel call per ``(codec, window size)`` and one
+  batched sample finish
+  (:func:`~repro.compression.batch.finish_samples`) -- without ever
+  materializing per-window
   :class:`~repro.transforms.rle.EncodedWindow` objects.
 
 The scalar reader remains the conformance oracle:
@@ -46,11 +56,12 @@ call.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CompressionError
+from repro.compression.batch import finish_samples
 from repro.compression.codecs import Codec
 from repro.compression.pipeline import (
     CompressedChannel,
@@ -66,6 +77,7 @@ __all__ = [
     "decode_record_bytes",
     "decode_records",
     "decode_library_bytes",
+    "RecordLayout",
 ]
 
 _TAG_SHIFT = 16
@@ -143,10 +155,6 @@ _S_DD = struct.Struct("<dd")
 _S_RECORD_HEAD = struct.Struct("<4sBBI")
 _S_QUBITS: Dict[int, struct.Struct] = {}
 
-#: Column offsets of a wire word's four little-endian bytes.
-_BYTE_LANES = np.arange(4, dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Bounds-checked header cursor (the scalar part: magics, strings, dt).
 # ---------------------------------------------------------------------------
@@ -220,34 +228,78 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # Batched channel scan.
 #
-# Phase 1 (Python, cheap): walk the u16 window-header chain of each
-# channel, recording absolute word positions.  Phase 2 (numpy, once per
-# call): gather and validate every word of every recorded channel.
+# Phase 1 (Python): walk the u16 window-header chain of each channel,
+# recording word counts -- or replay a record's verified layout, which
+# records the same counts without a loop.  Phase 2 (numpy, once per
+# call): check replayed headers, then gather and validate every word of
+# every recorded channel.
 # ---------------------------------------------------------------------------
 
 
 class _ChannelRef:
-    """One channel's slice of the batch: windows [start, end)."""
+    """One channel's slice of the batch: windows [start, end).
 
-    __slots__ = ("start", "end", "original_length")
+    ``offset`` is the buffer offset of the channel's first window
+    header (relative to the record start in a layout's template).
+    """
 
-    def __init__(self, start: int, end: int, original_length: int) -> None:
+    __slots__ = ("start", "end", "original_length", "offset")
+
+    def __init__(
+        self, start: int, end: int, original_length: int, offset: int
+    ) -> None:
         self.start = start
         self.end = end
         self.original_length = original_length
+        self.offset = offset
+
+
+class _StaleLayout(Exception):
+    """A replayed layout disagrees with the bytes; walk the batch instead."""
 
 
 class _ScanBatch:
     """Accumulates window geometry across every channel of one call."""
 
-    __slots__ = ("u8", "counts", "ch_base", "decoded_sizes", "ch_windows")
+    __slots__ = ("u8", "counts", "count_parts", "n_flushed", "replayed",
+                 "ch_base", "decoded_sizes", "ch_windows")
 
     def __init__(self, u8: np.ndarray) -> None:
         self.u8 = u8
-        self.counts: List[int] = []  # stored words per window
+        self.counts: List[int] = []  # stored words per walked window
+        # Window counts in batch order: walked runs (flushed from
+        # ``counts``) interleaved with replayed layouts' arrays.
+        self.count_parts: List[np.ndarray] = []
+        self.n_flushed = 0  # windows already moved into count_parts
+        self.replayed = False  # any layout replayed (headers to verify)
         self.ch_base: List[int] = []  # first header's absolute offset, per channel
         self.decoded_sizes: List[int] = []  # expected decode size, per channel
         self.ch_windows: List[int] = []  # window count, per channel
+
+    def _flush(self) -> None:
+        if self.counts:
+            self.count_parts.append(np.asarray(self.counts, dtype=np.int64))
+            self.n_flushed += len(self.counts)
+            self.counts = []
+
+    def replay(self, layout: "RecordLayout", base: int) -> "_RecordScan":
+        """Add a record at ``base`` by its cached layout, without a walk.
+
+        The caller has matched the layout's span length, prefix and Q
+        channel header against the bytes; :meth:`finalize` checks every
+        cached window header in one gather before trusting the rest.
+        """
+        self._flush()
+        start = self.n_flushed
+        self.count_parts.append(layout.counts)
+        self.n_flushed += layout.counts.size
+        self.replayed = True
+        scan = layout.scan.moved(start, base)
+        i_ref, q_ref = scan.i_ref, scan.q_ref
+        self.ch_base += (i_ref.offset, q_ref.offset)
+        self.ch_windows += (i_ref.end - i_ref.start, q_ref.end - q_ref.start)
+        self.decoded_sizes += (layout.coeff_count, layout.coeff_count)
+        return scan
 
     def scan_channel(
         self, cursor: _Cursor, codec: Codec, window_size: int
@@ -273,10 +325,10 @@ class _ScanBatch:
                 f"of {window_size}, stream declares {count}"
             )
         data, end = cursor.data, cursor.end
-        offset = cursor.offset
+        offset = first = cursor.offset
         counts = self.counts
         append = counts.append
-        start = len(counts)
+        start = self.n_flushed + len(counts)
         self.ch_base.append(offset)
         try:
             for _ in range(count):
@@ -302,11 +354,21 @@ class _ScanBatch:
         cursor.offset = offset
         self.decoded_sizes.append(codec.coeff_count(window_size))
         self.ch_windows.append(count)
-        return _ChannelRef(start, len(counts), int(original_length))
+        return _ChannelRef(
+            start, self.n_flushed + len(counts), int(original_length), first
+        )
 
     def finalize(self) -> "_WordData":
-        """One vectorized gather + validation pass over every word."""
-        counts = np.asarray(self.counts, dtype=np.int64)
+        """One vectorized gather + validation pass over every word.
+
+        Raises :class:`_StaleLayout` (before any word check) if a
+        replayed layout's window header disagrees with the bytes.
+        """
+        if self.count_parts:
+            self._flush()
+            counts = np.concatenate(self.count_parts).astype(np.int64)
+        else:
+            counts = np.asarray(self.counts, dtype=np.int64)
         n_windows = counts.size
         total = int(counts.sum()) if n_windows else 0
         if not total:
@@ -327,23 +389,40 @@ class _ScanBatch:
         headers = rel + np.repeat(
             np.asarray(self.ch_base, dtype=np.int64) - rel[ch_first], ch_nw
         )
+        if self.replayed:
+            # The header chain is fixed by the values along it: if every
+            # cached count sits at its cached position, the walk would
+            # have found exactly this geometry.
+            u8 = self.u8
+            found = u8[headers] | (u8[headers + 1].astype(np.int64) << 8)
+            if (found != counts).any():
+                raise _StaleLayout
 
         starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        byte0 = np.repeat(headers + 2, counts) + 4 * within
-        # One 2-D gather of each word's 4 bytes, reinterpreted as
-        # little-endian u32 (fancy indexing yields a fresh contiguous
-        # array, so the view is safe on any host endianness).
-        words = self.u8[byte0[:, None] + _BYTE_LANES].view("<u4").ravel()
+        # Word j of window k sits 4 * j bytes past the window's first
+        # word at headers[k] + 2.
+        byte0 = np.repeat(headers + 2 - 4 * starts, counts) + 4 * np.arange(
+            total, dtype=np.int64
+        )
+        # One gather through a little-endian u32 view with a one-byte
+        # stride: element b is the word starting at byte b, aligned or
+        # not (fancy indexing copies, so no view outlives the call).
+        u8 = self.u8
+        unaligned = np.ndarray(
+            shape=(max(u8.size - 3, 0),), dtype="<u4", buffer=u8, strides=(1,)
+        )
+        words = unaligned[byte0]
 
-        reserved = words & _RESERVED_MASK
-        if reserved.any():
-            bad = int(words[np.flatnonzero(reserved)[0]])
-            raise CompressionError(
-                f"reserved bits set in memory word 0x{bad:08x}"
-            )
-        tags = (words >> _TAG_SHIFT) & _TAG_MASK
+        # Bits 16-17 are the tag and 18-31 reserved: a valid word's top
+        # half is a known tag, which one compare settles.
+        tags = words >> _TAG_SHIFT
         if (tags > TAG_ZERO_RUN).any():
+            reserved = words & _RESERVED_MASK
+            if reserved.any():
+                bad = int(words[np.flatnonzero(reserved)[0]])
+                raise CompressionError(
+                    f"reserved bits set in memory word 0x{bad:08x}"
+                )
             bad_tag = int(tags[np.flatnonzero(tags > TAG_ZERO_RUN)[0]])
             raise CompressionError(f"unknown memory word tag {bad_tag}")
 
@@ -505,6 +584,59 @@ class _RecordScan:
         self.window_size = window_size
         self.i_ref = i_ref
         self.q_ref = q_ref
+
+    def moved(self, windows: int, offset: int) -> "_RecordScan":
+        """This scan with window indices and header offsets shifted."""
+        def channel(ref: _ChannelRef) -> _ChannelRef:
+            return _ChannelRef(
+                ref.start + windows, ref.end + windows,
+                ref.original_length, ref.offset + offset,
+            )
+
+        return _RecordScan(
+            name=self.name, gate=self.gate, qubits=self.qubits, dt=self.dt,
+            codec=self.codec, window_size=self.window_size,
+            i_ref=channel(self.i_ref), q_ref=channel(self.q_ref),
+        )
+
+
+class RecordLayout:
+    """One record's header geometry, as the window walk found it.
+
+    Holds the record's span length, its bytes up to the first I window
+    (magic, codec, names, qubits, dt and the I channel header), the
+    8-byte Q channel header and the u16 word count of every window (I
+    then Q), plus the values the walk parsed out of those bytes.  A
+    ``CQW1`` record's window chain is fixed by the header values along
+    it, so bytes that match all of these -- checked on every use --
+    scan to exactly this geometry: :func:`decode_records` then skips
+    the Python walk.  Only the walk creates layouts; callers treat
+    them as opaque (:class:`repro.store.sharded.ShardedStore` keeps one
+    per record of its pinned snapshot).
+    """
+
+    __slots__ = ("length", "prefix", "q_header", "counts", "coeff_count",
+                 "scan")
+
+    def __init__(self, data: bytes, base: int, length: int,
+                 scan: "_RecordScan", counts: np.ndarray) -> None:
+        i_ref, q_ref = scan.i_ref, scan.q_ref
+        self.length = length
+        self.prefix = data[base : i_ref.offset]
+        self.q_header = data[q_ref.offset - 8 : q_ref.offset]
+        self.counts = counts[i_ref.start : q_ref.end].astype(np.uint16)
+        self.coeff_count = scan.codec.coeff_count(scan.window_size)
+        # The record's scan with window indices and header offsets made
+        # relative to the record, for replay at any batch position.
+        self.scan = scan.moved(-i_ref.start, -base)
+
+    def matches(self, data: bytes, base: int, length: int) -> bool:
+        """Span length, prefix and Q header equal; headers checked later."""
+        return (
+            length == self.length
+            and data.startswith(self.prefix, base)
+            and data.startswith(self.q_header, base + self.scan.q_ref.offset - 8)
+        )
 
 
 def _read_qubits(cursor: _Cursor) -> Tuple[int, ...]:
@@ -676,16 +808,6 @@ def _decode_scans(
     for index, (_ref, codec, ws) in enumerate(channels):
         groups.setdefault((ws, codec.name), []).append(index)
 
-    for scan in scans:
-        if scan.i_ref.original_length != scan.q_ref.original_length:
-            # The scalar decoder would fail this record at the I/Q
-            # combine; the fused path rejects it as the corruption it
-            # is (the serializer always writes equal-length channels).
-            raise CompressionError(
-                f"I channel decodes {scan.i_ref.original_length} samples "
-                f"but Q decodes {scan.q_ref.original_length}"
-            )
-
     codes: List[np.ndarray] = [None] * len(channels)
     for (ws, _name), indices in groups.items():
         codec = channels[indices[0]][1]
@@ -704,41 +826,22 @@ def _decode_scans(
             ]
             offset += count
 
-    # Finish in the sample domain once for the whole batch: clip,
-    # dequantize and magnitude-clamp every record's channels in single
-    # array passes (elementwise, so bit-identical to the per-record
-    # Waveform.from_fixed_point sequence), then hand each record a
-    # slice of the shared complex envelope.
-    i_big = np.concatenate(codes[0::2]) if len(scans) > 1 else codes[0]
-    q_big = np.concatenate(codes[1::2]) if len(scans) > 1 else codes[1]
-    np.clip(i_big, -32768, 32767, out=i_big)
-    np.clip(q_big, -32768, 32767, out=q_big)
-    samples = i_big / np.float64(32767.0) + 1j * (
-        q_big / np.float64(32767.0)
-    )
-    magnitude = np.abs(samples)
-    over = magnitude > 1.0
-    if over.any():
-        samples[over] /= magnitude[over]
-
+    # Finish in the sample domain once for the whole batch (clip,
+    # dequantize, magnitude-clamp; a record whose I and Q channels
+    # decode to different lengths is rejected there as the corruption
+    # it is, where the scalar decoder would fail at the I/Q combine).
     waveforms: List[Waveform] = []
-    start = 0
-    for scan in scans:
-        end = start + scan.i_ref.original_length
-        # Each record owns its samples (a shared-base slice would let
-        # one cached pulse pin the whole batch's decoded memory).
-        owned = samples if len(scans) == 1 else samples[start:end].copy()
-        owned.setflags(write=False)
+    for scan, samples in zip(scans, finish_samples(codes[0::2], codes[1::2])):
+        samples.setflags(write=False)
         waveforms.append(
             _make_waveform(
                 name=f"{scan.name}~{scan.codec.name}",
-                samples=owned,
+                samples=samples,
                 dt=scan.dt,
                 gate=scan.gate,
                 qubits=scan.qubits,
             )
         )
-        start = end
     return waveforms
 
 
@@ -757,7 +860,9 @@ def decode_record_bytes(data) -> Waveform:
     return _decode_scans([scan], batch.finalize())[0]
 
 
-def decode_records(blobs: Sequence) -> List[Waveform]:
+def decode_records(
+    blobs: Sequence, layouts: Optional[List[Optional[RecordLayout]]] = None
+) -> List[Waveform]:
     """Fused decode of many standalone ``CQW1`` records.
 
     The record blobs are packed into one gather buffer (one small copy
@@ -765,28 +870,69 @@ def decode_records(blobs: Sequence) -> List[Waveform]:
     grouped inverse kernel call per ``(codec, window size)``; entry
     ``i`` is bit-identical to
     ``decompress_waveform(parse_waveform(blobs[i]))``.
+
+    ``layouts``, if given, is a list parallel to ``blobs`` of
+    :class:`RecordLayout` (or ``None``) from earlier decodes of the
+    same records.  A layout whose length, prefix, Q header and window
+    headers all match its blob stands in for the header walk; any
+    mismatch, and any error in a batch that offered a layout, re-runs
+    the plain walk over the whole batch, so results and errors never
+    depend on the layouts.  On success the list is updated in place
+    with a fresh layout for every record that was walked (after a
+    re-walk, for every record).
     """
     blobs = list(blobs)
     if not blobs:
         raise CompressionError("cannot decode an empty record list")
-    if len(blobs) == 1:
+    if layouts is None and len(blobs) == 1:
         return [decode_record_bytes(blobs[0])]
+    if layouts is not None and len(layouts) != len(blobs):
+        raise ValueError(
+            f"{len(layouts)} layouts for {len(blobs)} record blobs"
+        )
     # Join once: the word gather becomes a single pass for all records,
-    # per-record cursors are reused, and the header walk always indexes
-    # plain bytes even when the caller handed us mmap views.
+    # and the header walk always indexes plain bytes even when the
+    # caller handed us mmap views.
     sizes = [len(blob) for blob in blobs]
     joined = b"".join(blobs)  # bytes.join accepts any buffer objects
+    if layouts is None or all(layout is None for layout in layouts):
+        return _decode_joined(joined, sizes, layouts)
+    try:
+        return _decode_joined(joined, sizes, layouts)
+    except (_StaleLayout, CompressionError):
+        layouts[:] = [None] * len(blobs)
+    return _decode_joined(joined, sizes, layouts)
+
+
+def _decode_joined(
+    joined: bytes,
+    sizes: List[int],
+    layouts: Optional[List[Optional[RecordLayout]]],
+) -> List[Waveform]:
+    """Scan (replaying matching layouts) and decode one joined batch."""
     batch = _ScanBatch(_as_u8(joined))
     cursor = _Cursor(joined)
     scans: List[_RecordScan] = []
+    walked: List[Tuple[int, int]] = []  # (record index, base offset)
     base = 0
-    for size in sizes:
+    for k, size in enumerate(sizes):
+        layout = None if layouts is None else layouts[k]
+        if layout is not None and layout.matches(joined, base, size):
+            scans.append(batch.replay(layout, base))
+        else:
+            cursor.offset, cursor.end = base, base + size
+            scans.append(_scan_record(cursor, batch))
+            cursor.expect_end("waveform record")
+            walked.append((k, base))
         base += size
-        cursor.end = base
-        scan = _scan_record(cursor, batch)
-        cursor.expect_end("waveform record")
-        scans.append(scan)
-    return _decode_scans(scans, batch.finalize())
+    words = batch.finalize()
+    waveforms = _decode_scans(scans, words)
+    if layouts is not None:
+        for k, base in walked:
+            layouts[k] = RecordLayout(
+                joined, base, sizes[k], scans[k], words.counts
+            )
+    return waveforms
 
 
 def decode_library_bytes(

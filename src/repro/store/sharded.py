@@ -73,7 +73,11 @@ from repro.compression.bitstream import (
     parse_waveform,
     serialize_library_indexed,
 )
-from repro.compression.fastpath import decode_library_bytes, decode_records
+from repro.compression.fastpath import (
+    RecordLayout,
+    decode_library_bytes,
+    decode_records,
+)
 from repro.compression.pipeline import CompressedWaveform
 from repro.pulses.waveform import Waveform
 from repro.store.atomic import atomic_write
@@ -445,6 +449,13 @@ class ShardedStore:
         self.tombstones: Dict[_Key, int] = dict(tombstones or {})
         self._shard_files = shard_files
         self._index = index
+        #: Window layouts of this snapshot's records, filled by their
+        #: first fused decode and verified on every later one (see
+        #: :class:`repro.compression.fastpath.RecordLayout`).  They die
+        #: with the snapshot: a refreshed store is a new object.
+        #: Concurrent fills may race on an entry; both write a layout
+        #: the walk produced, and every use re-verifies it.
+        self._layouts: Dict[_Key, RecordLayout] = {}
         self._pool = _MmapPool(
             tuple(path / name for name in shard_files),
             max_open=min(max_open_shards, max(1, len(shard_files))),
@@ -879,7 +890,7 @@ class ShardedStore:
         keys, unique = self._spans_in_read_order(requests)
         views = [self._read_span(self._index[key]) for key in unique]
         started = time.perf_counter()
-        waveforms = decode_records(views) if views else []
+        waveforms = self.decode_spans(unique, views) if views else []
         if views:
             registry = default_registry()
             registry.counter("store.decode_batches").inc()
@@ -895,6 +906,23 @@ class ShardedStore:
             self._check_binding(key, waveform.gate, waveform.qubits)
             decoded[key] = waveform
         return [decoded[key] for key in keys]
+
+    def decode_spans(self, keys: Sequence[_Key], spans: Sequence) -> List[Waveform]:
+        """Fused decode of record bytes read for ``keys``, via the layouts.
+
+        ``spans[i]`` holds the ``CQW1`` bytes of ``keys[i]`` (normally
+        this store's own mmap views; the chaos harness passes damaged
+        copies).  Each record's cached layout, if any, is offered to
+        :func:`repro.compression.fastpath.decode_records`, which checks
+        it against the bytes and walks the batch instead on any
+        mismatch; the layouts it walked are kept for the next decode.
+        """
+        memo = self._layouts
+        layouts = [memo.get(key) for key in keys]
+        waveforms = decode_records(spans, layouts)
+        for key, layout in zip(keys, layouts):
+            memo[key] = layout
+        return waveforms
 
     # -- eager paths ---------------------------------------------------------
 

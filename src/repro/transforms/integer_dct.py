@@ -203,8 +203,27 @@ def int_dct_blocks(blocks: np.ndarray) -> np.ndarray:
     return _saturate16(y)
 
 
+#: Largest coefficient magnitude for which the float64 inverse below is
+#: exact.  An output is a sum of at most 32 products ``y * H[k, j]``
+#: with ``|H| <= 90``, so every partial sum stays below ``2**53`` -- the
+#: largest range over which float64 holds every integer -- whenever
+#: ``|y| <= 2**53 // (32 * 90)``.  Stored coefficients are 16-bit
+#: (``|y| <= 2**15``, partial sums ``<= 32 * 2**15 * 90 ~= 9.4e7``), so
+#: the wire format never comes near the limit.
+_FLOAT_EXACT_COEFF = 2**53 // (32 * 90)
+
+
 def int_idct_blocks(spectra: np.ndarray) -> np.ndarray:
-    """Inverse integer DCT of many coefficient windows at once."""
+    """Inverse integer DCT of many coefficient windows at once.
+
+    Bit-exact with per-row :func:`int_idct`.  The product runs through
+    float64 BLAS: every partial sum is an integer below ``2**53`` (see
+    :data:`_FLOAT_EXACT_COEFF`), so no rounding happens in any
+    summation order, and the round-half-up ``>> 6`` and the int16
+    saturation are exact in the float domain too (``/ 64`` is a power
+    of two, ``floor`` and ``clip`` of integers are exact).  Spectra
+    outside that bound take the int64 product.
+    """
     spectra = np.asarray(spectra)
     if spectra.ndim != 2:
         raise CompressionError(
@@ -212,9 +231,36 @@ def int_idct_blocks(spectra: np.ndarray) -> np.ndarray:
         )
     n = spectra.shape[1]
     _check_size(n)
-    x = spectra.astype(np.int64) @ integer_dct_matrix(n)
-    x = _rshift_round(x, INVERSE_SHIFT)
-    return _saturate16(x)
+    if not _float_exact(spectra):
+        x = spectra.astype(np.int64) @ integer_dct_matrix(n)
+        x = _rshift_round(x, INVERSE_SHIFT)
+        return _saturate16(x)
+    x = spectra.astype(np.float64) @ _float_matrix(n)
+    x += float(1 << (INVERSE_SHIFT - 1))
+    x *= 1.0 / (1 << INVERSE_SHIFT)
+    np.floor(x, out=x)
+    info = np.iinfo(COEFF_DTYPE)
+    np.clip(x, info.min, info.max, out=x)
+    return x.astype(COEFF_DTYPE)
+
+
+def _float_exact(spectra: np.ndarray) -> bool:
+    """True iff the float64 inverse is exact for these coefficients."""
+    if spectra.dtype.kind not in "iu":
+        return False
+    if spectra.dtype.itemsize <= 4 or not spectra.size:
+        return True
+    return bool(
+        spectra.min() >= -_FLOAT_EXACT_COEFF
+        and spectra.max() <= _FLOAT_EXACT_COEFF
+    )
+
+
+@lru_cache(maxsize=8)
+def _float_matrix(n: int) -> np.ndarray:
+    matrix = integer_dct_matrix(n).astype(np.float64)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def int_idct_shift_add(y: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ from repro.compression import (
     decompress_batch,
     decompress_channels,
 )
+from repro.compression import batch as batch_module
+from repro.compression.batch import finish_samples
 from repro.compression.pipeline import (
     decompress_channel,
     decompress_waveform,
@@ -206,3 +208,75 @@ class TestValidation:
     def test_wrong_entry_type_rejected(self):
         with pytest.raises(CompressionError):
             decompress_batch(["not-a-compressed-waveform"])
+
+
+def _from_fixed_point_oracle(i_codes, q_codes):
+    return Waveform.from_fixed_point(
+        np.clip(i_codes, -32768, 32767).astype(np.int16),
+        np.clip(q_codes, -32768, 32767).astype(np.int16),
+        dt=1e-9,
+    ).samples
+
+
+class TestFinishSamples:
+    """The batched finish is bit-identical to ``from_fixed_point``."""
+
+    @given(
+        codes=st.lists(
+            st.tuples(
+                st.integers(-40000, 40000), st.integers(-40000, 40000)
+            ),
+            min_size=1,
+            max_size=64,
+        ),
+        cuts=st.lists(st.integers(0, 64), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_codes_match_oracle(self, codes, cuts):
+        i_all = np.array([c[0] for c in codes], dtype=np.int64)
+        q_all = np.array([c[1] for c in codes], dtype=np.int64)
+        bounds = sorted({0, len(codes), *(c % (len(codes) + 1) for c in cuts)})
+        spans = list(zip(bounds, bounds[1:]))
+        got = finish_samples(
+            [i_all[a:b] for a, b in spans], [q_all[a:b] for a, b in spans]
+        )
+        assert [part.size for part in got] == [b - a for a, b in spans]
+        for part in got:
+            assert part.dtype == np.complex128
+            assert part.base is None or len(got) == 1  # owns its samples
+        np.testing.assert_array_equal(
+            np.concatenate(got), _from_fixed_point_oracle(i_all, q_all)
+        )
+
+    def test_unit_circle_edge_matches_oracle(self):
+        """Codes on and around |z| = 1, where the clamp decides."""
+        edge = np.arange(-400, 401)
+        rail = np.full(edge.size, 32767)
+        diagonal = np.arange(23100, 23250)
+        i_codes = np.concatenate([rail, edge, -rail - 1, diagonal, -diagonal])
+        q_codes = np.concatenate([edge, rail, edge, diagonal, diagonal + 1])
+        (got,) = finish_samples([i_codes], [q_codes])
+        want = _from_fixed_point_oracle(i_codes, q_codes)
+        np.testing.assert_array_equal(got, want)
+        # Some samples were clamped, and some sat just inside the circle.
+        raw = np.hypot(np.clip(i_codes, -32768, 32767), q_codes) / 32767
+        assert (raw > 1.0).any() and ((raw > 1 - 1e-4) & (raw <= 1.0)).any()
+
+    def test_chunked_batches_match_oracle(self, monkeypatch):
+        """Many pulses finish in several chunks; each pulse stays whole."""
+        monkeypatch.setattr(batch_module, "_FINISH_CHUNK", 7)
+        rng = np.random.default_rng(3)
+        sizes = [1, 3, 7, 12, 2, 2, 2, 9, 1]
+        i_parts = [rng.integers(-40000, 40000, size) for size in sizes]
+        q_parts = [rng.integers(-40000, 40000, size) for size in sizes]
+        got = finish_samples(i_parts, q_parts)
+        assert [part.size for part in got] == sizes
+        for part, i_codes, q_codes in zip(got, i_parts, q_parts):
+            assert part.base is None
+            np.testing.assert_array_equal(
+                part, _from_fixed_point_oracle(i_codes, q_codes)
+            )
+
+    def test_mismatched_channel_lengths_rejected(self):
+        with pytest.raises(CompressionError, match="I channel decodes 3"):
+            finish_samples([np.zeros(3, np.int64)], [np.zeros(4, np.int64)])

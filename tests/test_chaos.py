@@ -138,6 +138,61 @@ class TestFaultyStore:
             assert np.array_equal(waveform.samples, reference[key])
         assert faulty.faults_injected["slow_io"] == 1
 
+    def test_corruption_meets_verified_layouts(self, store, reference, monkeypatch):
+        """Damaged bytes go through the store's layouts, with no effect.
+
+        Every injected truncation and payload flip is decoded with the
+        layouts the clean reads filled; each outcome (error text or
+        samples) must equal a layout-free walk of the same bytes.
+        """
+        from repro.compression import fastpath
+        from repro.store import sharded
+
+        offered = []
+
+        def checked(views, layouts=None):
+            offered.append(sum(layout is not None for layout in layouts or ()))
+            views = [bytes(view) for view in views]
+            try:
+                want = [w.samples for w in fastpath.decode_records(views)]
+            except CompressionError as exc:
+                with pytest.raises(CompressionError) as got:
+                    fastpath.decode_records(views, layouts)
+                assert str(got.value) == str(exc)
+                raise
+            got = fastpath.decode_records(views, layouts)
+            for waveform, samples in zip(got, want):
+                assert np.array_equal(waveform.samples, samples)
+            return got
+
+        monkeypatch.setattr(sharded, "decode_records", checked)
+        faulty = FaultyStore(
+            store,
+            FaultPlan(
+                seed=6, period=2, kinds=("truncate", "bitflip"),
+                bitflip_target="payload",
+            ),
+        )
+        keys = store.keys()[:4]
+        with faulty.calm():
+            faulty.decode_many(keys)  # fills every key's layout
+        assert all(key in store._layouts for key in keys)
+        errors = flagged = 0
+        for _ in range(40):
+            try:
+                waveforms = faulty.decode_many(keys)
+            except CompressionError:
+                errors += 1
+                continue
+            flagged += any(
+                not np.array_equal(w.samples, reference[key])
+                for key, w in zip(keys, waveforms)
+            )
+        assert sum(faulty.faults_injected.values()) == 20
+        assert errors >= faulty.faults_injected["truncate"]
+        assert errors + flagged <= 20
+        assert offered[0] == 0 and set(offered[1:]) == {len(keys)}
+
     def test_clean_ticks_are_bit_identical(self, store, reference):
         faulty = FaultyStore(store, FaultPlan(seed=0, period=1000))
         for key in store.keys():

@@ -18,6 +18,7 @@ word-at-a-time reference on *every* input:
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from repro.compression.bitstream import (
     serialize_library,
     serialize_waveform,
 )
+from repro.compression import fastpath
 from repro.compression.fastpath import (
     decode_library_bytes,
     decode_record_bytes,
@@ -53,7 +55,13 @@ from repro.compression.pipeline import (
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
 from repro.pulses import Waveform
-from repro.store import PulseCache, PulseServer, save_store
+from repro.store import (
+    PulseCache,
+    PulseServer,
+    StoreWriter,
+    open_store,
+    save_store,
+)
 from repro.store.cache import CacheStats
 from repro.store.server import ServerStats
 from repro.store.sharded import StoreRecord
@@ -284,6 +292,241 @@ class TestMalformedEquivalence:
     def test_empty_record_batch_rejected(self):
         with pytest.raises(CompressionError):
             decode_records([])
+
+
+def _outcome(decode):
+    """A decode's result as comparable data: samples, or the error text."""
+    try:
+        waveforms = decode()
+    except CompressionError as exc:
+        return f"CompressionError: {exc}"
+    return [(w.name, w.gate, w.qubits, w.dt, w.samples) for w in waveforms]
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for (*meta_got, samples_got), (*meta_want, samples_want) in zip(got, want):
+        assert meta_got == meta_want
+        np.testing.assert_array_equal(samples_got, samples_want)
+
+
+@functools.lru_cache(maxsize=1)
+def _same_length_pairs():
+    """Distinct records sharing one name and byte length.
+
+    Equal prefixes up to the I windows and equal span lengths, so a
+    layout filled from one passes every cheap check against the other;
+    only the window-header gather can tell them apart when their word
+    counts differ (and when they do not, the layout is valid for both).
+    """
+    by_length = {}
+    for seed in range(40):
+        for threshold in (200, 800, 2000):
+            rng = np.random.default_rng(seed)
+            samples = 0.65 * (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
+            waveform = Waveform(
+                "swap", samples / max(1.0, float(np.max(np.abs(samples)))),
+                dt=1e-9, gate="x", qubits=(0,),
+            )
+            blob = serialize_waveform(
+                compress_waveform(
+                    waveform, window_size=8, codec="int-DCT-W",
+                    threshold=threshold,
+                ).compressed
+            )
+            by_length.setdefault(len(blob), set()).add(blob)
+    pairs = []
+    for blobs in by_length.values():
+        blobs = sorted(blobs)
+        pairs.extend(zip(blobs, blobs[1:]))
+    return tuple(pairs)
+
+
+class TestVerifiedLayouts:
+    """Layouts only ever stand in for a walk that would agree with them.
+
+    A layout is filled by one decode and offered to the next; whatever
+    happened to the bytes in between (a flipped byte, a truncation,
+    another record of the same length), the verdict, the error text and
+    every sample must equal a fresh walk's and the scalar oracle's.
+    """
+
+    @given(
+        pair=st.integers(min_value=0),
+        mutation=st.sampled_from(("flip", "truncate", "swap")),
+        index=st.integers(min_value=0, max_value=10**6),
+        flip=st.integers(min_value=1, max_value=255),
+        position=st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stale_layout_matches_fresh_walk_and_oracle(
+        self, pair, mutation, index, flip, position
+    ):
+        pairs = _same_length_pairs()
+        target, other = pairs[pair % len(pairs)]
+        neighbour, _ = _record_blob(33, seed=5)
+        batch = [neighbour, target] if position else [target, neighbour]
+        layouts = [None, None]
+        decode_records(batch, layouts)
+        assert all(layout is not None for layout in layouts)
+
+        if mutation == "flip":
+            mutated = bytearray(target)
+            mutated[index % len(mutated)] ^= flip
+            mutated = bytes(mutated)
+        elif mutation == "truncate":
+            mutated = target[: index % len(target)]
+        else:
+            mutated = other
+        batch[position] = mutated
+
+        stale = list(layouts)
+        got = _outcome(lambda: decode_records(batch, stale))
+        _assert_same_outcome(got, _outcome(lambda: decode_records(batch)))
+        # Per record against the scalar oracle.
+        try:
+            scalar = parse_waveform_scalar(mutated)
+        except CompressionError:
+            scalar = None
+        if scalar is None or (
+            scalar.i_channel.original_length != scalar.q_channel.original_length
+        ):
+            assert isinstance(got, str)
+        else:
+            np.testing.assert_array_equal(
+                got[position][-1], decompress_waveform(scalar).samples
+            )
+            # The refreshed layouts serve the mutated bytes from now on.
+            _assert_same_outcome(_outcome(lambda: decode_records(batch, stale)), got)
+
+    def test_matching_layout_replaces_the_walk(self, monkeypatch):
+        blobs = [_record_blob(40, seed=s)[0] for s in range(3)]
+        layouts = [None] * 3
+        want = _outcome(lambda: decode_records(blobs, layouts))
+
+        def no_walk(*_args):
+            raise AssertionError("walked a record with a valid layout")
+
+        monkeypatch.setattr(fastpath._ScanBatch, "scan_channel", no_walk)
+        _assert_same_outcome(_outcome(lambda: decode_records(blobs, layouts)), want)
+
+    @staticmethod
+    def _pair_with_different_counts():
+        for target, other in _same_length_pairs():
+            fill, swapped = [None], [None]
+            decode_records([target], fill)
+            decode_records([other], swapped)
+            if not np.array_equal(fill[0].counts, swapped[0].counts):
+                assert fill[0].prefix == swapped[0].prefix
+                assert fill[0].q_header == swapped[0].q_header
+                return target, other, fill[0], swapped[0]
+        pytest.fail("no same-length pair with different window counts")
+
+    def test_header_gather_catches_same_length_record(self):
+        """Equal prefix, Q header and length; different window counts."""
+        _target, other, layout, walked = self._pair_with_different_counts()
+        batch = fastpath._ScanBatch(fastpath._as_u8(other))
+        batch.replay(layout, 0)
+        with pytest.raises(fastpath._StaleLayout):
+            batch.finalize()
+        stale = [layout]
+        _assert_same_outcome(
+            _outcome(lambda: decode_records([other], stale)),
+            _outcome(lambda: decode_records([other])),
+        )
+        np.testing.assert_array_equal(stale[0].counts, walked.counts)
+
+    def test_every_prefix_and_q_header_byte_is_checked(self):
+        blob, _ = _record_blob(40, window_size=8, seed=11)
+        fill = [None]
+        decode_records([blob], fill)
+        layout = fill[0]
+        q_header = layout.scan.q_ref.offset - 8
+        checked = [
+            (i, 1 << bit) for i in range(len(layout.prefix)) for bit in range(8)
+        ]
+        checked += [
+            (i, flip)
+            for i in range(q_header, q_header + 8)
+            for flip in range(1, 256)
+        ]
+        for index, flip in checked:
+            corrupt = bytearray(blob)
+            corrupt[index] ^= flip
+            corrupt = bytes(corrupt)
+            stale = [layout]
+            _assert_same_outcome(
+                _outcome(lambda: decode_records([corrupt], stale)),
+                _outcome(lambda: decode_records([corrupt])),
+            )
+
+    def test_errors_follow_walk_order_despite_stale_layout(self):
+        """A stale layout must not let a later record's error win."""
+        target, _other, layout, _walked = self._pair_with_different_counts()
+        first_header = layout.scan.i_ref.offset
+        broken = bytearray(target)
+        broken[first_header : first_header + 2] = b"\x00\x00"  # zero words
+        bad_magic = b"XXXX" + target[4:]
+        batch = [bytes(broken), bad_magic]
+        want = _outcome(lambda: decode_records(batch))
+        assert "zero words" in want
+        assert _outcome(lambda: decode_records(batch, [layout, None])) == want
+
+    def test_layout_list_must_match_blobs(self):
+        blob, _ = _record_blob(16)
+        with pytest.raises(ValueError):
+            decode_records([blob, blob], [None])
+
+    def test_store_fills_layouts_once_per_record(self, tmp_path):
+        compiled = CompaqtCompiler(window_size=16).compile_library(
+            ibm_device("bogota").pulse_library()
+        )
+        sharded = save_store(compiled, tmp_path / "s.cqs", n_shards=2)
+        keys = sharded.keys()[:6]
+        first = sharded.decode_many(keys)
+        layouts = {key: sharded._layouts[key] for key in keys}
+        again = sharded.decode_many(keys)
+        for key in keys:
+            assert sharded._layouts[key] is layouts[key]  # reused, not rebuilt
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a.samples, b.samples)
+        sharded.close()
+
+    def test_refreshed_snapshot_starts_without_layouts(self, tmp_path):
+        compiled = CompaqtCompiler(window_size=16).compile_library(
+            ibm_device("bogota").pulse_library()
+        )
+        root = tmp_path / "bogota.cqs"
+        save_store(compiled, root, n_shards=3).close()
+        with PulseServer(open_store(root), cache_capacity=2) as server:
+            old_store = server.store
+            key = old_store.keys()[0]
+            server.fetch(*key)
+            old_layout = old_store._layouts[key]
+            with StoreWriter(root) as writer:
+                waveform = writer.store.decode_many([key])[0]
+                result = CompaqtCompiler().compile_waveform(
+                    waveform.with_samples(np.roll(waveform.samples, 3) * 0.8)
+                )
+                writer.put(key[0], key[1], result)
+                writer.commit()
+            assert server.refresh() is True
+            fresh = server.store
+            assert fresh is not old_store
+            assert not fresh._layouts
+            fetched = server.fetch(*key)
+            np.testing.assert_array_equal(
+                fetched.samples, result.reconstructed.samples
+            )
+            new_layout = fresh._layouts[key]
+            assert new_layout is not old_layout
+            walked = [None]
+            decode_records([fresh.read_record_bytes(*key)], walked)
+            assert new_layout.prefix == walked[0].prefix
+            np.testing.assert_array_equal(new_layout.counts, walked[0].counts)
 
 
 @pytest.fixture(scope="module")

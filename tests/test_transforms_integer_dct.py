@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import CompressionError
+from repro.transforms.integer_dct import _FLOAT_EXACT_COEFF, int_idct_blocks
 from repro.transforms import (
     LOEFFLER_OP_COUNTS,
     SUPPORTED_SIZES,
@@ -153,6 +154,87 @@ class TestShiftAddEquivalence:
         for _ in range(5):
             y = rng.integers(-2000, 2000, size=n)
             np.testing.assert_array_equal(int_idct(y), int_idct_shift_add(y))
+
+
+def _worst_case_spectra(n, seed):
+    """Rows that drive every IDCT output to the edge of its range.
+
+    All-max and all-min rows, both alternating-sign rows, one row per
+    output column whose signs follow that column of H (the largest
+    ``|sum|`` the column can reach: 32768 * sum |H[:, j]|), plus random
+    16-bit rows.
+    """
+    rng = np.random.default_rng(seed)
+    matrix = integer_dct_matrix(n)
+    alternating = np.where(np.arange(n) % 2 == 0, 32768, -32768)
+    rows = [
+        np.full(n, 32768),
+        np.full(n, -32768),
+        alternating,
+        -alternating,
+        *(32768 * np.where(matrix[:, j] >= 0, 1, -1) for j in range(n)),
+        *(-32768 * np.where(matrix[:, j] >= 0, 1, -1) for j in range(n)),
+        *rng.integers(-32768, 32768, size=(4, n)),
+    ]
+    return np.array(rows, dtype=np.int64)
+
+
+class TestBlockInverseExactness:
+    """The float64-BLAS block inverse is bit-exact with the scalar oracles.
+
+    ``int_idct_blocks`` sums in float64, which holds every integer below
+    2**53.  With 16-bit coefficients a partial sum is at most
+    32 * 2**15 * 90 ~= 9.4e7, so no sum is ever rounded; these spectra
+    reach that worst case at every size.
+    """
+
+    @pytest.mark.parametrize("n", (2, *SUPPORTED_SIZES))
+    def test_worst_case_spectra_match_scalar_and_shift_add(self, n):
+        spectra = _worst_case_spectra(n, seed=n)
+        blocks = int_idct_blocks(spectra)
+        assert blocks.dtype == np.int16
+        per_row = np.array([int_idct(row) for row in spectra])
+        shift_add = np.array([int_idct_shift_add(row) for row in spectra])
+        np.testing.assert_array_equal(blocks, per_row)
+        np.testing.assert_array_equal(blocks, shift_add)
+        # The column-aligned rows saturate: the edge is really reached.
+        assert blocks.max() == 32767 and blocks.min() == -32768
+
+    @pytest.mark.parametrize("dtype", (np.int16, np.int32, np.int64))
+    def test_every_integer_width_matches(self, dtype):
+        spectra = _worst_case_spectra(16, seed=3).clip(
+            np.iinfo(np.int16).min, np.iinfo(np.int16).max
+        )
+        np.testing.assert_array_equal(
+            int_idct_blocks(spectra.astype(dtype)),
+            np.array([int_idct(row) for row in spectra]),
+        )
+
+    @pytest.mark.parametrize("n", (2, *SUPPORTED_SIZES))
+    def test_beyond_float_bound_takes_exact_integer_path(self, n):
+        rng = np.random.default_rng(n)
+        spectra = rng.integers(-(2**40), 2**40, size=(6, n))
+        spectra[0, 0] = _FLOAT_EXACT_COEFF + 1
+        np.testing.assert_array_equal(
+            int_idct_blocks(spectra),
+            np.array([int_idct(row) for row in spectra]),
+        )
+
+    def test_rounding_ties_match(self):
+        """Outputs landing on exact .5 after the shift round half up."""
+        # 83 * 32 = 2656 = 41.5 * 64: +41.5 rounds to 42, -41.5 to -41.
+        spectra = np.array([[0, 32, 0, 0], [0, -32, 0, 0], [5, 32, -7, 32]])
+        products = spectra @ integer_dct_matrix(4)
+        assert (products % 64 == 32).sum() >= 4
+        assert int_idct_blocks(spectra)[0, 0] == 42
+        assert int_idct_blocks(spectra)[1, 0] == -41
+        np.testing.assert_array_equal(
+            int_idct_blocks(spectra),
+            np.array([int_idct(row) for row in spectra]),
+        )
+
+    def test_empty_batch(self):
+        assert int_idct_blocks(np.zeros((0, 16), dtype=np.int64)).shape == (0, 16)
 
 
 class TestOpCounts:
