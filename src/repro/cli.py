@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--prewarm",
         action="store_true",
-        help="fill the cache through the fused whole-shard decoder "
-        "before replaying the trace",
+        help="fill the cache through the fused decoder (live keys, up to "
+        "capacity) before replaying the trace",
     )
 
     serve_net = subparsers.add_parser(

@@ -21,7 +21,6 @@ from repro.compression.batch import (
     BatchCompressionResult,
     compress_batch,
     decompress_batch,
-    decompress_channels,
 )
 from repro.compression.bitstream import (
     LibraryBitstream,
@@ -34,7 +33,6 @@ from repro.compression.bitstream import (
     serialize_waveform,
 )
 from repro.compression.fastpath import (
-    decode_library_bytes,
     decode_record_bytes,
     decode_records,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "BatchCompressionResult",
     "compress_batch",
     "decompress_batch",
-    "decompress_channels",
     "LibraryBitstream",
     "LibraryEntry",
     "parse_library",
@@ -85,7 +82,6 @@ __all__ = [
     "parse_waveform_scalar",
     "serialize_library",
     "serialize_waveform",
-    "decode_library_bytes",
     "decode_record_bytes",
     "decode_records",
     "split_windows",

@@ -46,12 +46,11 @@ from repro.compression.pipeline import (
 from repro.compression.window import merge_windows, split_windows
 from repro.pulses.quantization import FULL_SCALE
 from repro.pulses.waveform import Waveform
-from repro.transforms.rle import rle_encode_blocks, rle_expand_blocks
+from repro.transforms.rle import rle_encode_blocks
 
 __all__ = [
     "BatchCompressionResult",
     "compress_batch",
-    "decompress_channels",
     "decompress_batch",
     "finish_samples",
 ]
@@ -247,56 +246,15 @@ def compress_batch(
     )
 
 
-# ---------------------------------------------------------------------------
-# Batched decode: the symmetric half of the engine.
-#
-# The scalar reference (`decompress_channel`) expands and inverts one
-# window at a time; playing back a whole device library that way costs
-# one Python iteration (and one tiny matmul) per window.  The batched
-# path stacks every window of every channel into one matrix, expands all
-# RLE runs with a single scatter, and inverts the lot with one matmul
-# per distinct window size -- bit-identical to the scalar path, which
-# the conformance suite and the bench decode-parity gate both enforce.
-# ---------------------------------------------------------------------------
-
-
-def decompress_channels(channels: Sequence[CompressedChannel]) -> List[np.ndarray]:
-    """Batched :func:`~repro.compression.pipeline.decompress_channel`.
-
-    All windows of all channels are grouped by ``(window_size, variant)``
-    (one group for a homogeneous library; one per distinct pulse length
-    for DCT-N), RLE-expanded in one pass and inverted in one matmul per
-    group.  Entry ``i`` of the returned list is bit-identical to
-    ``decompress_channel(channels[i])``.
-    """
-    channels = list(channels)
-    if not channels:
-        raise CompressionError("cannot batch-decompress an empty channel list")
-
-    groups: Dict[Tuple[int, str], List[int]] = {}
-    for index, channel in enumerate(channels):
-        groups.setdefault((channel.window_size, channel.variant), []).append(index)
-
-    codes: List[np.ndarray] = [None] * len(channels)
-    for (ws, variant), indices in groups.items():
-        codec = resolve_codec(variant)
-        counts = [channels[i].n_windows for i in indices]
-        stacked_windows = [w for i in indices for w in channels[i].windows]
-        coeffs = rle_expand_blocks(stacked_windows, codec.coeff_count(ws))
-        recon = codec.inverse_blocks(coeffs)
-        offset = 0
-        for i, count in zip(indices, counts):
-            codes[i] = merge_windows(
-                recon[offset : offset + count], channels[i].original_length
-            )
-            offset += count
-    return codes
-
-
 def decompress_batch(
     compressed: "BatchCompressionResult | Sequence",
 ) -> Tuple[Waveform, ...]:
     """Decompress many waveforms in one vectorized pass.
+
+    The in-memory front door of the package's one vectorized decoder
+    (:func:`repro.compression.fastpath.decode_compressed`): every window
+    of every channel goes through one grouped inverse kernel call per
+    ``(window size, codec)`` and one batched sample finish.
 
     Args:
         compressed: A :class:`BatchCompressionResult`, or any sequence of
@@ -310,6 +268,9 @@ def decompress_batch(
         :func:`~repro.compression.pipeline.decompress_waveform` on each
         entry individually.
     """
+    # Late import: fastpath imports finish_samples from this module.
+    from repro.compression.fastpath import decode_compressed
+
     if isinstance(compressed, BatchCompressionResult):
         entries = [r.compressed for r in compressed]
     else:
@@ -324,12 +285,6 @@ def decompress_batch(
             raise CompressionError(
                 f"expected CompressedWaveform entries, got {type(entry).__name__}"
             )
-
-    channels: List = []
-    for entry in entries:
-        channels.append(entry.i_channel)
-        channels.append(entry.q_channel)
-    codes = decompress_channels(channels)
     return tuple(
         Waveform(
             name=f"{entry.name}~{entry.variant}",
@@ -338,9 +293,7 @@ def decompress_batch(
             gate=entry.gate,
             qubits=entry.qubits,
         )
-        for entry, samples in zip(
-            entries, finish_samples(codes[0::2], codes[1::2])
-        )
+        for entry, samples in zip(entries, decode_compressed(entries))
     )
 
 

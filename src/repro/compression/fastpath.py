@@ -24,14 +24,20 @@ the read side as numpy array passes over the same bytes:
   stream canonicality -- happens in **one** batched numpy pass per
   call, covering every channel of every record in the call at once
   (per-channel passes would drown tiny windows in numpy fixed costs);
-* the **fused** decode path (:func:`decode_record_bytes`,
-  :func:`decode_records`, :func:`decode_library_bytes`) goes straight
-  from those tag/payload arrays to one dense coefficient matrix, one
-  grouped inverse kernel call per ``(codec, window size)`` and one
-  batched sample finish
-  (:func:`~repro.compression.batch.finish_samples`) -- without ever
-  materializing per-window
+* the **fused** decode path (:func:`decode_records`, and
+  :func:`decode_record_bytes` for one record) goes straight from those
+  tag/payload arrays to one dense coefficient matrix, one grouped
+  inverse kernel call per ``(codec, window size)`` and one batched
+  sample finish (:func:`~repro.compression.batch.finish_samples`) --
+  without ever materializing per-window
   :class:`~repro.transforms.rle.EncodedWindow` objects.
+
+That grouped inverse is the package's only vectorized decoder, with
+two front doors: record bytes (:func:`decode_records`, the serving
+cold-miss and prewarm path) and in-memory compressed waveforms
+(:func:`decode_compressed`, behind
+:func:`~repro.compression.batch.decompress_batch`), which fills the
+same per-window arrays straight from the ``EncodedWindow`` objects.
 
 The scalar reader remains the conformance oracle:
 :func:`parse_waveform_fast` / :func:`parse_library_fast` must return
@@ -62,7 +68,7 @@ import numpy as np
 
 from repro.errors import CompressionError
 from repro.compression.batch import finish_samples
-from repro.compression.codecs import Codec
+from repro.compression.codecs import Codec, resolve_codec
 from repro.compression.pipeline import (
     CompressedChannel,
     CompressedWaveform,
@@ -76,7 +82,7 @@ __all__ = [
     "parse_library_fast",
     "decode_record_bytes",
     "decode_records",
-    "decode_library_bytes",
+    "decode_compressed",
     "RecordLayout",
 ]
 
@@ -533,25 +539,34 @@ class _WordData:
     def coeff_matrix(self, refs: Sequence[_ChannelRef], width: int) -> np.ndarray:
         """Dense coefficient matrix for the given channels, stacked.
 
-        Bit-identical to ``rle_expand_blocks`` over the channels'
-        window objects: one zero allocation, one fancy-indexed scatter.
+        Row ``j`` is window ``j`` RLE-expanded as the scalar
+        ``rle_decode_window`` does it: one zero allocation, one
+        fancy-indexed scatter.  Every window must decode to ``width``
+        coefficients, and there must be at least one.
         """
+        if width < 1:
+            raise CompressionError(f"window size must be >= 1, got {width}")
         n_refs = len(refs)
         lens = np.fromiter(
             (ref.end - ref.start for ref in refs), dtype=np.int64, count=n_refs
         )
         n = int(lens.sum()) if n_refs else 0
-        if n:
-            ref_starts = np.fromiter(
-                (ref.start for ref in refs), dtype=np.int64, count=n_refs
-            )
-            window_ids = np.repeat(
-                ref_starts - (np.cumsum(lens) - lens), lens
-            ) + np.arange(n, dtype=np.int64)
-        else:
-            window_ids = np.empty(0, dtype=np.int64)
-        out = np.zeros((n, width), dtype=np.int64)
+        if not n:
+            raise CompressionError("cannot expand an empty window sequence")
+        ref_starts = np.fromiter(
+            (ref.start for ref in refs), dtype=np.int64, count=n_refs
+        )
+        window_ids = np.repeat(
+            ref_starts - (np.cumsum(lens) - lens), lens
+        ) + np.arange(n, dtype=np.int64)
         cc = self.coeff_counts[window_ids]
+        sizes = cc + self.zero_runs[window_ids]
+        if (sizes != width).any():
+            k = int(np.flatnonzero(sizes != width)[0])
+            raise CompressionError(
+                f"window decodes to {int(sizes[k])} samples, expected {width}"
+            )
+        out = np.zeros((n, width), dtype=np.int64)
         total = int(cc.sum())
         if total:
             rows = np.repeat(np.arange(n, dtype=np.int64), cc)
@@ -784,26 +799,26 @@ def parse_library_fast(data):
 
 
 # ---------------------------------------------------------------------------
-# Fused decode: bytes -> tag/payload arrays -> grouped inverse kernels.
+# The vectorized decoder and its two front doors.
 # ---------------------------------------------------------------------------
 
 
-def _decode_scans(
-    scans: Sequence[_RecordScan], words: _WordData
-) -> List[Waveform]:
-    """Decode scanned records through one inverse kernel per group.
+def _inverse_pulses(
+    words: _WordData, channels: Sequence[Tuple[_ChannelRef, Codec, int]]
+) -> List[np.ndarray]:
+    """Decode channels to finished samples, one inverse kernel per group.
 
-    The channel grouping mirrors
-    :func:`repro.compression.batch.decompress_channels` -- group by
-    ``(window_size, codec)``, expand, one ``inverse_blocks`` call per
-    group -- so the output is bit-identical to the batched engine (and
-    therefore to the scalar reference the PR 2 conformance suite pins).
+    ``channels`` holds ``(ref, codec, window size)`` for each pulse's I
+    then Q channel.  Channels are grouped by ``(window size, codec)``;
+    each group is expanded into one dense coefficient matrix, inverted
+    by one ``inverse_blocks`` call and trimmed channel by channel (the
+    ``merge_windows`` slice and length check).  All pulses then finish
+    in one :func:`~repro.compression.batch.finish_samples` pass, which
+    rejects a pulse whose I and Q channels decode to different lengths
+    -- corruption the scalar decoder would only meet at the I/Q combine.
+    Returns one owned complex128 sample array per pulse, bit-identical
+    to the scalar reference the conformance suites pin.
     """
-    channels: List[Tuple[_ChannelRef, Codec, int]] = []
-    for scan in scans:
-        channels.append((scan.i_ref, scan.codec, scan.window_size))
-        channels.append((scan.q_ref, scan.codec, scan.window_size))
-
     groups: Dict[Tuple[int, str], List[int]] = {}
     for index, (_ref, codec, ws) in enumerate(channels):
         groups.setdefault((ws, codec.name), []).append(index)
@@ -816,54 +831,83 @@ def _decode_scans(
             words.coeff_matrix(refs, codec.coeff_count(ws))
         )
         flat = recon.reshape(-1)
-        width = recon.shape[1] if recon.ndim == 2 else ws
+        width = recon.shape[1]
         offset = 0
         for i, ref in zip(indices, refs):
-            count = ref.end - ref.start
-            # Inline merge_windows: drop the tail window's zero padding.
-            codes[i] = flat[
-                offset * width : offset * width + ref.original_length
-            ]
-            offset += count
+            # Trimming slices one flat buffer, so an original length
+            # past the channel's own windows would read its neighbour's.
+            size = (ref.end - ref.start) * width
+            if ref.original_length > size:
+                raise CompressionError(
+                    f"original length {ref.original_length} exceeds "
+                    f"decoded {size}"
+                )
+            codes[i] = flat[offset : offset + size][: ref.original_length]
+            offset += size
+    return finish_samples(codes[0::2], codes[1::2])
 
-    # Finish in the sample domain once for the whole batch (clip,
-    # dequantize, magnitude-clamp; a record whose I and Q channels
-    # decode to different lengths is rejected there as the corruption
-    # it is, where the scalar decoder would fail at the I/Q combine).
-    waveforms: List[Waveform] = []
-    for scan, samples in zip(scans, finish_samples(codes[0::2], codes[1::2])):
-        samples.setflags(write=False)
-        waveforms.append(
-            _make_waveform(
-                name=f"{scan.name}~{scan.codec.name}",
-                samples=samples,
-                dt=scan.dt,
-                gate=scan.gate,
-                qubits=scan.qubits,
+
+def decode_compressed(entries: Sequence[CompressedWaveform]) -> List[np.ndarray]:
+    """The in-memory door: finished samples of each compressed waveform.
+
+    Fills the decoder's per-window arrays (coefficient counts, zero
+    runs, coefficient values) straight from the entries'
+    :class:`~repro.transforms.rle.EncodedWindow` objects and runs the
+    same grouped inverse as :func:`decode_records`.  Entry ``i`` is
+    bit-identical to ``decompress_waveform(entries[i]).samples``; input
+    the scalar decoder rejects -- a window of the wrong width, an
+    original length past the decoded samples, a channel group with no
+    windows -- raises :class:`CompressionError`.  The backend of
+    :func:`~repro.compression.batch.decompress_batch`.
+    """
+    channels = [
+        channel for entry in entries for channel in (entry.i_channel, entry.q_channel)
+    ]
+    windows = [window for channel in channels for window in channel.windows]
+    n = len(windows)
+    coeff_counts = np.fromiter(
+        (len(window.coeffs) for window in windows), dtype=np.int64, count=n
+    )
+    zero_runs = np.fromiter(
+        (window.zero_run for window in windows), dtype=np.int64, count=n
+    )
+    coeff_bounds = np.cumsum(coeff_counts)
+    coeff_values = np.fromiter(
+        (c for window in windows for c in window.coeffs),
+        dtype=np.int64,
+        count=int(coeff_bounds[-1]) if n else 0,
+    )
+    # In-memory windows have no stored word stream, hence no counts.
+    words = _WordData(None, coeff_counts, zero_runs, coeff_values, coeff_bounds)
+    refs: List[Tuple[_ChannelRef, Codec, int]] = []
+    start = 0
+    for channel in channels:
+        end = start + len(channel.windows)
+        refs.append(
+            (
+                _ChannelRef(start, end, channel.original_length, 0),
+                resolve_codec(channel.variant),
+                channel.window_size,
             )
         )
-    return waveforms
+        start = end
+    return _inverse_pulses(words, refs)
 
 
 def decode_record_bytes(data) -> Waveform:
     """Fused bytes -> decoded waveform for one ``CQW1`` record.
 
-    Bit-identical to
+    ``decode_records([data])[0]``: bit-identical to
     ``decompress_waveform(parse_waveform(data))`` without building the
-    intermediate ``EncodedWindow`` objects -- the serving cold-miss
-    fast path for a single pulse.
+    intermediate ``EncodedWindow`` objects.
     """
-    cursor = _Cursor(data)
-    batch = _ScanBatch(_as_u8(data))
-    scan = _scan_record(cursor, batch)
-    cursor.expect_end("waveform record")
-    return _decode_scans([scan], batch.finalize())[0]
+    return decode_records([data])[0]
 
 
 def decode_records(
     blobs: Sequence, layouts: Optional[List[Optional[RecordLayout]]] = None
 ) -> List[Waveform]:
-    """Fused decode of many standalone ``CQW1`` records.
+    """Fused decode of many standalone ``CQW1`` records (the bytes door).
 
     The record blobs are packed into one gather buffer (one small copy
     of already-compressed bytes), scanned, and decoded through one
@@ -884,8 +928,6 @@ def decode_records(
     blobs = list(blobs)
     if not blobs:
         raise CompressionError("cannot decode an empty record list")
-    if layouts is None and len(blobs) == 1:
-        return [decode_record_bytes(blobs[0])]
     if layouts is not None and len(layouts) != len(blobs):
         raise ValueError(
             f"{len(layouts)} layouts for {len(blobs)} record blobs"
@@ -894,7 +936,10 @@ def decode_records(
     # and the header walk always indexes plain bytes even when the
     # caller handed us mmap views.
     sizes = [len(blob) for blob in blobs]
-    joined = b"".join(blobs)  # bytes.join accepts any buffer objects
+    try:
+        joined = b"".join(blobs)  # any C-contiguous buffer objects
+    except TypeError as exc:
+        raise CompressionError(f"unreadable bitstream buffer: {exc}") from None
     if layouts is None or all(layout is None for layout in layouts):
         return _decode_joined(joined, sizes, layouts)
     try:
@@ -926,30 +971,25 @@ def _decode_joined(
             walked.append((k, base))
         base += size
     words = batch.finalize()
-    waveforms = _decode_scans(scans, words)
+    channels: List[Tuple[_ChannelRef, Codec, int]] = []
+    for scan in scans:
+        channels.append((scan.i_ref, scan.codec, scan.window_size))
+        channels.append((scan.q_ref, scan.codec, scan.window_size))
+    waveforms: List[Waveform] = []
+    for scan, samples in zip(scans, _inverse_pulses(words, channels)):
+        samples.setflags(write=False)
+        waveforms.append(
+            _make_waveform(
+                name=f"{scan.name}~{scan.codec.name}",
+                samples=samples,
+                dt=scan.dt,
+                gate=scan.gate,
+                qubits=scan.qubits,
+            )
+        )
     if layouts is not None:
         for k, base in walked:
             layouts[k] = RecordLayout(
                 joined, base, sizes[k], scans[k], words.counts
             )
     return waveforms
-
-
-def decode_library_bytes(
-    data,
-) -> List[Tuple[str, Tuple[int, ...], Waveform]]:
-    """Fused decode of a whole ``CQL1`` container.
-
-    Returns ``(gate, qubits, waveform)`` per entry, in container order,
-    each waveform bit-identical to the scalar decode of that entry --
-    the engine behind :meth:`repro.store.sharded.ShardedStore.decode_shard`.
-    """
-    cursor = _Cursor(data)
-    batch = _ScanBatch(_as_u8(data))
-    _device, _ws, _variant, rows = _scan_library(cursor, batch)
-    scans = [scan for _g, _q, _m, _t, scan in rows]
-    waveforms = _decode_scans(scans, batch.finalize()) if scans else []
-    return [
-        (gate, qubits, waveform)
-        for (gate, qubits, _m, _t, _s), waveform in zip(rows, waveforms)
-    ]

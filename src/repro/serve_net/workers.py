@@ -720,14 +720,19 @@ class DecodePool:
         Idempotent.  Callers blocked waiting for a slot are woken with
         :class:`~repro.errors.DecodeWorkerError`; jobs already in
         flight are allowed ``timeout`` seconds to finish before their
-        futures fail typed (never hang).
+        futures fail typed (never hang).  Every call, including one
+        after an abort closed the pool, joins a live dispatcher (unless
+        made from the dispatcher itself), so no dispatcher outlives it.
         """
         with self._cond:
-            if self._closed:
-                return
+            closed = self._closed
             self._closed = True
             self._idle.clear()
             self._cond.notify_all()
+        if closed:
+            if threading.current_thread() is not self._dispatcher:
+                self._dispatcher.join(timeout=timeout)
+            return
         pause = threading.Event()
         waited = 0.0
         step = 0.02

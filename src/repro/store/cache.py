@@ -10,8 +10,7 @@ cost by grouping miss reads per shard (sequential, mmap-backed I/O)
 and pushing *all* missed records through the fused parse→decode fast
 path (:meth:`repro.store.sharded.ShardedStore.decode_many`, built on
 :mod:`repro.compression.fastpath`) in one call instead of decoding
-pulse by pulse -- bit-identical to the batched engine and the scalar
-reference.
+pulse by pulse -- bit-identical to the scalar reference.
 
 The cache is thread-safe (a single reentrant lock guards the LRU map
 and counters) but deliberately does **not** deduplicate concurrent
@@ -250,58 +249,25 @@ class PulseCache:
                 out[normalized] = self._insert(normalized, waveform)
         return out
 
-    def prewarm(self, shards: Optional[Sequence[int]] = None) -> int:
-        """Fill the cache from whole shards through the fused decoder.
+    def prewarm(self) -> int:
+        """Fill the cache through the fused decoder, up to capacity.
 
-        Decodes the named shards (default: all of them) with
-        :meth:`~repro.store.sharded.ShardedStore.decode_shard` and
-        inserts the results until the cache is full -- once capacity is
-        reached, remaining pulses and shards are skipped rather than
-        decoded and churned straight back out.  Counters stay untouched
-        (prewarming is not traffic).  Returns the number of pulses
-        *newly* inserted: re-warming keys that are already resident
-        counts zero, so a second ``prewarm`` over an unchanged cache
-        reports 0 rather than the whole library again.
+        Takes the store's live keys in index order (for every
+        generation the one source of truth: a ``CQS2`` shard file still
+        holds superseded and tombstoned record bytes), skips those
+        already resident and stops at the cache's free room -- nothing
+        is decoded only to be churned straight back out -- then fills
+        the rest through :meth:`load_many`: one
+        :meth:`~repro.store.sharded.ShardedStore.decode_many` call,
+        which also records each record's verified window layout for
+        later cold misses.  Counters stay untouched (prewarming is not
+        traffic).  Returns the number of pulses newly inserted, so a
+        second ``prewarm`` over an unchanged cache reports 0.
         """
-        if shards is None:
-            shards = range(self.store.shard_count)
-        if getattr(self.store, "generation", 0) > 0:
-            # A CQS2 generation's shard files still hold superseded and
-            # tombstoned record bytes; warming must go through the live
-            # index, not raw container order.
-            wanted = set(shards)
-            to_load: List[_Key] = []
-            with self._lock:
-                room = self.capacity - len(self._lru)
-                for key in self.store.keys():
-                    if room <= 0:
-                        break
-                    if key in self._lru:
-                        continue
-                    if self.store.record_info(*key).shard not in wanted:
-                        continue
-                    to_load.append(key)
-                    room -= 1
-            if not to_load:
-                return 0
-            decoded = self.store.decode_many(to_load)
-            with self._lock:
-                for key, waveform in zip(to_load, decoded):
-                    self._insert(key, waveform)
-            return len(to_load)
-        inserted = 0
-        for shard in shards:
-            with self._lock:
-                if len(self._lru) >= self.capacity:
-                    break
-            for key, waveform in self.store.decode_shard(shard):
-                with self._lock:
-                    if len(self._lru) >= self.capacity and key not in self._lru:
-                        break
-                    if key not in self._lru:
-                        inserted += 1
-                    self._insert(key, waveform)
-        return inserted
+        with self._lock:
+            room = self.capacity - len(self._lru)
+            cold = [key for key in self.store.keys() if key not in self._lru]
+        return len(self.load_many(cold[:room]))
 
     def _insert(
         self, key: _Key, waveform: Waveform, store: Optional[ShardedStore] = None

@@ -5,7 +5,7 @@ off the compressed waveform memory: gate issue asks for a decoded
 pulse, the hot set answers from the
 :class:`~repro.store.cache.PulseCache`, and misses are demand-fetched
 from the :class:`~repro.store.sharded.ShardedStore` and decoded through
-the batched engine.  It is safe to call from many threads at once and
+the fused engine.  It is safe to call from many threads at once and
 adds two policies the cache deliberately does not have:
 
 * **Per-shard single-flight.**  Every fill happens under that shard's
@@ -21,10 +21,11 @@ adds two policies the cache deliberately does not have:
 
 Served samples are bit-identical to the scalar reference
 (:func:`repro.compression.pipeline.decompress_channel` via
-``decompress_waveform``): the cache decodes through
-:func:`~repro.compression.batch.decompress_batch`, whose conformance
-with the scalar path is enforced by the PR 2 test suite and re-checked
-end-to-end by the serving benchmark's identity gate.
+``decompress_waveform``): misses decode through
+:meth:`~repro.store.sharded.ShardedStore.decode_many` and
+:func:`~repro.compression.fastpath.decode_records`, whose conformance
+with the scalar path is fuzzed in ``tests/test_fastpath.py`` and
+re-checked end-to-end by the serving benchmark's identity gate.
 """
 
 from __future__ import annotations

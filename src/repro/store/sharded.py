@@ -73,11 +73,7 @@ from repro.compression.bitstream import (
     parse_waveform,
     serialize_library_indexed,
 )
-from repro.compression.fastpath import (
-    RecordLayout,
-    decode_library_bytes,
-    decode_records,
-)
+from repro.compression.fastpath import RecordLayout, decode_records
 from repro.compression.pipeline import CompressedWaveform
 from repro.pulses.waveform import Waveform
 from repro.store.atomic import atomic_write
@@ -926,35 +922,14 @@ class ShardedStore:
 
     # -- eager paths ---------------------------------------------------------
 
-    def _shard_view(self, shard: int) -> memoryview:
-        """Whole-shard zero-copy view (range-checked, pool-served)."""
-        if not 0 <= shard < self.shard_count:
-            raise StoreError(f"shard {shard} out of range [0, {self.shard_count})")
-        return self._pool.view(shard)
-
     def read_shard(self, shard: int) -> LibraryBitstream:
         """Parse one whole shard as its ``CQL1`` container."""
+        if not 0 <= shard < self.shard_count:
+            raise StoreError(f"shard {shard} out of range [0, {self.shard_count})")
         try:
-            return parse_library(self._shard_view(shard))
+            return parse_library(self._pool.view(shard))
         except CompressionError as exc:
             raise StoreError(f"corrupt shard {shard}: {exc}") from None
-
-    def decode_shard(self, shard: int) -> List[Tuple[_Key, Waveform]]:
-        """Fused decode of one whole shard, in container order.
-
-        Goes bytes -> tag/payload arrays -> grouped inverse kernels
-        without building per-window objects; used by
-        :meth:`repro.store.cache.PulseCache.prewarm` and anything else
-        that wants a shard's full decoded contents at cold-miss speed.
-        """
-        try:
-            rows = decode_library_bytes(self._shard_view(shard))
-        except CompressionError as exc:
-            raise StoreError(f"corrupt shard {shard}: {exc}") from None
-        return [
-            (normalize_key(gate, qubits), waveform)
-            for gate, qubits, waveform in rows
-        ]
 
     def load_library(self):
         """Eagerly load and decode the whole store.

@@ -58,7 +58,6 @@ from repro.transforms.rle import (
     rle_encode_window,
     rle_decode_window,
     rle_encode_blocks,
-    rle_expand_blocks,
 )
 from repro.transforms.threshold import (
     hard_threshold,
@@ -97,7 +96,6 @@ __all__ = [
     "rle_encode_window",
     "rle_decode_window",
     "rle_encode_blocks",
-    "rle_expand_blocks",
     "hard_threshold",
     "trailing_zero_run",
     "kept_coefficients",

@@ -3,11 +3,15 @@
 COMPAQT's guarantees only hold if every decode path plays back exactly
 what the compiler stored.  These tests hold the three implementations --
 the scalar reference (`decompress_channel` / `decompress_waveform`), the
-vectorized batch engine (`decompress_channels` / `decompress_batch`),
-and the cycle-level microarchitecture (`DecompressionPipeline`) --
-bit-identical across random waveforms, thresholds, window sizes and all
-pipeline variants.
+vectorized decoder's in-memory front door (`decompress_batch`, the same
+engine `fastpath.decode_records` runs on record bytes), and the
+cycle-level microarchitecture (`DecompressionPipeline`) -- bit-identical
+across random waveforms, thresholds, window sizes and all pipeline
+variants, and hold the front door to rejecting exactly the malformed
+channels the scalar reference rejects.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,14 +23,16 @@ from repro.compression import (
     compress_batch,
     compress_waveform,
     decompress_batch,
-    decompress_channels,
 )
 from repro.compression import batch as batch_module
 from repro.compression.batch import finish_samples
 from repro.compression.pipeline import (
+    CompressedChannel,
+    CompressedWaveform,
     decompress_channel,
     decompress_waveform,
 )
+from repro.transforms.rle import EncodedWindow
 from repro.core import CompaqtCompiler
 from repro.devices import google_device, ibm_device
 from repro.microarch import DecompressionPipeline
@@ -67,12 +73,6 @@ def _assert_three_way_identical(compressed, check_microarch: bool) -> None:
     """Scalar, batched, and (optionally) cycle-level decode all agree."""
     scalar_i = decompress_channel(compressed.i_channel)
     scalar_q = decompress_channel(compressed.q_channel)
-    batched_i, batched_q = decompress_channels(
-        [compressed.i_channel, compressed.q_channel]
-    )
-    np.testing.assert_array_equal(batched_i, scalar_i)
-    np.testing.assert_array_equal(batched_q, scalar_q)
-
     reference = decompress_waveform(compressed)
     (batched_wf,) = decompress_batch([compressed])
     assert batched_wf.name == reference.name
@@ -202,12 +202,217 @@ class TestValidation:
     def test_empty_inputs_rejected(self):
         with pytest.raises(CompressionError):
             decompress_batch([])
-        with pytest.raises(CompressionError):
-            decompress_channels([])
 
     def test_wrong_entry_type_rejected(self):
         with pytest.raises(CompressionError):
             decompress_batch(["not-a-compressed-waveform"])
+
+
+def _pulse(n, seed, name="p"):
+    """A smooth random pulse of ``n`` samples, |z| < 1."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, n)
+    envelope = np.sin(np.pi * t) ** 2 * rng.uniform(0.2, 0.7)
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    noise = rng.normal(0.0, 0.02, n) + 1j * rng.normal(0.0, 0.02, n)
+    return Waveform(
+        name, envelope * phase + noise, dt=1e-9, gate=f"g{seed % 7}", qubits=(seed % 5,)
+    )
+
+
+def _scalar_outcome(entry):
+    """The scalar decoder's verdict: samples, or None if it rejects."""
+    try:
+        return decompress_waveform(entry)
+    except CompressionError:
+        return None
+
+
+pulse_specs = st.lists(
+    st.tuples(
+        st.sampled_from(CODECS),
+        st.sampled_from(WINDOW_SIZES),
+        st.integers(min_value=1, max_value=90),
+        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestFrontDoorConformance:
+    """`decompress_batch` drives the fused engine; the scalar path is the oracle."""
+
+    @given(specs=pulse_specs)
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_codecs_sizes_and_lengths_in_one_call(self, specs):
+        entries = [
+            compress_waveform(
+                _pulse(n, seed, name=f"p{k}"),
+                window_size=ws,
+                codec=codec,
+                threshold=threshold,
+            ).compressed
+            for k, (codec, ws, n, threshold, seed) in enumerate(specs)
+        ]
+        decoded = decompress_batch(entries)
+        assert len(decoded) == len(entries)
+        for entry, waveform in zip(entries, decoded):
+            reference = decompress_waveform(entry)
+            assert waveform.name == reference.name
+            np.testing.assert_array_equal(waveform.samples, reference.samples)
+
+    @given(
+        specs=pulse_specs,
+        faults=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.sampled_from(("width", "length", "empty", "shorter")),
+                st.sampled_from(("i", "q", "both")),
+                st.integers(min_value=1, max_value=40),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_malformed_channels_rejected_exactly_where_the_oracle_rejects(
+        self, specs, faults
+    ):
+        entries = [
+            compress_waveform(
+                _pulse(n, seed), window_size=ws, codec=codec, threshold=threshold
+            ).compressed
+            for codec, ws, n, threshold, seed in specs
+        ]
+        for index, fault, side, amount in faults:
+            index %= len(entries)
+            entry = entries[index]
+
+            def broken(channel):
+                if fault == "width":
+                    if not channel.windows:
+                        return channel
+                    # One window that decodes to the wrong coefficient count.
+                    width = len(channel.windows[0].coeffs) + channel.windows[0].zero_run
+                    bad = EncodedWindow(coeffs=(1,), zero_run=width + amount - 1)
+                    return dataclasses.replace(
+                        channel, windows=(bad,) + channel.windows[1:]
+                    )
+                # Past the decoded samples: the trim must not read the
+                # next channel's windows.
+                decoded = channel.n_windows * channel.window_size
+                return dataclasses.replace(
+                    channel, original_length=decoded + amount
+                )
+
+            if fault == "empty":
+                i, q = (
+                    dataclasses.replace(channel, windows=())
+                    for channel in (entry.i_channel, entry.q_channel)
+                )
+            elif fault == "shorter":
+                # Fewer samples than the windows hold (both channels, so
+                # I and Q stay equal): a valid truncation.
+                length = max(1, entry.i_channel.original_length - amount)
+                i, q = (
+                    dataclasses.replace(channel, original_length=length)
+                    for channel in (entry.i_channel, entry.q_channel)
+                )
+            else:
+                i = broken(entry.i_channel) if side != "q" else entry.i_channel
+                q = broken(entry.q_channel) if side != "i" else entry.q_channel
+            entries[index] = dataclasses.replace(entry, i_channel=i, q_channel=q)
+
+        oracle = [_scalar_outcome(entry) for entry in entries]
+        try:
+            decoded = decompress_batch(entries)
+        except CompressionError:
+            decoded = None
+        assert (decoded is None) == any(ref is None for ref in oracle)
+        if decoded is not None:
+            for reference, waveform in zip(oracle, decoded):
+                assert waveform.name == reference.name
+                np.testing.assert_array_equal(waveform.samples, reference.samples)
+
+    def test_all_zero_full_and_single_coefficient_windows(self):
+        channel = CompressedChannel(
+            windows=(
+                EncodedWindow(coeffs=(), zero_run=8),
+                EncodedWindow(coeffs=tuple(range(1, 9)), zero_run=0),
+                EncodedWindow(coeffs=(9,), zero_run=7),
+            ),
+            variant="delta",
+            window_size=8,
+            original_length=24,
+        )
+        entry = CompressedWaveform(
+            name="edge", gate="x", qubits=(0,), dt=1e-9,
+            i_channel=channel, q_channel=channel,
+        )
+        (waveform,) = decompress_batch([entry])
+        np.testing.assert_array_equal(
+            waveform.samples, decompress_waveform(entry).samples
+        )
+        i_codes, _q = waveform.to_fixed_point()
+        np.testing.assert_array_equal(
+            i_codes, [0] * 8 + [1, 3, 6, 10, 15, 21, 28, 36] + [9] * 8
+        )
+
+
+def _entry(windows, original_length=16, window_size=8, variant="int-DCT-W"):
+    channel = CompressedChannel(
+        windows=tuple(windows),
+        variant=variant,
+        window_size=window_size,
+        original_length=original_length,
+    )
+    return CompressedWaveform(
+        name="hand", gate="x", qubits=(0,), dt=1e-9,
+        i_channel=channel, q_channel=channel,
+    )
+
+
+class TestFrontDoorErrors:
+    """The checks the batched decoder made before it shared the fused engine."""
+
+    def test_wrong_window_width_rejected(self):
+        windows = [EncodedWindow(coeffs=(1,), zero_run=7),
+                   EncodedWindow(coeffs=(1,), zero_run=3)]
+        with pytest.raises(
+            CompressionError, match="window decodes to 4 samples, expected 8"
+        ):
+            decompress_batch([_entry(windows)])
+
+    def test_zero_window_size_rejected(self):
+        windows = [EncodedWindow(coeffs=(1,), zero_run=7)]
+        with pytest.raises(CompressionError, match="window size must be >= 1"):
+            decompress_batch([_entry(windows, original_length=8, window_size=0)])
+
+    def test_group_without_windows_rejected(self):
+        with pytest.raises(
+            CompressionError, match="cannot expand an empty window sequence"
+        ):
+            decompress_batch([_entry([], original_length=1)])
+
+    def test_original_length_past_the_windows_rejected(self):
+        """The trim must not read the next channel's samples."""
+        pulses = [_pulse(144, 1, name="a"), _pulse(144, 2, name="b")]
+        first, second = (
+            compress_waveform(p, window_size=16).compressed for p in pulses
+        )
+        stretched = dataclasses.replace(
+            first.i_channel, original_length=first.i_channel.original_length + 40
+        )
+        bad = dataclasses.replace(first, i_channel=stretched)
+        with pytest.raises(
+            CompressionError, match="original length 184 exceeds decoded 144"
+        ):
+            decompress_waveform(bad)
+        with pytest.raises(
+            CompressionError, match="original length 184 exceeds decoded 144"
+        ):
+            decompress_batch([bad, second])
 
 
 def _from_fixed_point_oracle(i_codes, q_codes):

@@ -12,9 +12,9 @@ word-at-a-time reference on *every* input:
   corrupt record whose I and Q channels decode to different sample
   counts, which the scalar reference mishandles via numpy
   broadcasting);
-* the mmap-backed store paths (span reads, fused ``decode_many`` /
-  ``decode_shard``, prewarm) serve the same bytes and samples as the
-  pre-pool implementation, with deterministic handle release.
+* the mmap-backed store paths (span reads, fused ``decode_many``,
+  prewarm) serve the same bytes and samples as the pre-pool
+  implementation, with deterministic handle release.
 """
 
 import dataclasses
@@ -25,14 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CompressionError, StoreError
+from repro.errors import CompressionError
 from repro.compression.batch import decompress_batch
 from repro.compression.bitstream import (
     RecordSpan,
     _Writer,
     _channel_block_bytes,
     _write_channel_scalar,
-    parse_library,
     parse_library_scalar,
     parse_waveform,
     parse_waveform_scalar,
@@ -41,7 +40,6 @@ from repro.compression.bitstream import (
 )
 from repro.compression import fastpath
 from repro.compression.fastpath import (
-    decode_library_bytes,
     decode_record_bytes,
     decode_records,
     parse_library_fast,
@@ -148,15 +146,6 @@ class TestParseConformance:
         fast = parse_library_fast(blob)
         assert fast == scalar
         assert serialize_library(fast) == blob
-        decoded = decode_library_bytes(blob)
-        assert [(g, q) for g, q, _w in decoded] == [
-            (e.gate, e.qubits) for e in scalar.entries
-        ]
-        for (_g, _q, waveform), entry in zip(decoded, scalar.entries):
-            np.testing.assert_array_equal(
-                waveform.samples,
-                decompress_waveform(entry.compressed).samples,
-            )
 
     def test_decode_records_mixed_batch(self):
         blobs, references = [], []
@@ -273,7 +262,6 @@ class TestMalformedEquivalence:
             parse_waveform_fast,
             parse_library_fast,
             decode_record_bytes,
-            decode_library_bytes,
             lambda b: decode_records([b, b]),
         ):
             try:
@@ -559,21 +547,6 @@ class TestStoreFastPath:
         twice = sharded.decode_many([key, key])
         np.testing.assert_array_equal(twice[0].samples, twice[1].samples)
 
-    def test_decode_shard_covers_every_record(self, store):
-        sharded, compiled = store
-        seen = {}
-        for shard in range(sharded.n_shards):
-            for key, waveform in sharded.decode_shard(shard):
-                seen[key] = waveform
-        assert set(seen) == set(sharded.keys())
-        for key, waveform in seen.items():
-            np.testing.assert_array_equal(
-                waveform.samples,
-                decompress_waveform(compiled.result(*key).compressed).samples,
-            )
-        with pytest.raises(StoreError):
-            sharded.decode_shard(sharded.n_shards)
-
     def test_read_record_bytes_is_span_copy(self, store):
         sharded, _ = store
         key = sharded.keys()[0]
@@ -622,6 +595,55 @@ class TestStoreFastPath:
         stats = cache.stats()
         assert inserted == 4 == len(cache)
         assert stats.evictions == 0  # no decode-then-evict churn
+
+    def test_prewarm_records_a_layout_for_every_warmed_key(self, store):
+        sharded, _ = store
+        fresh = open_store(sharded.path)
+        cache = PulseCache(fresh, capacity=4)
+        assert cache.prewarm() == 4
+        assert set(fresh._layouts) == set(cache.cached_keys())
+        fresh.close()
+
+    def test_prewarm_before_and_after_a_commit_matches_the_oracle(self, tmp_path):
+        """Generation 0 and the next generation warm the same key set
+        from the live index, each bit-identical to the scalar decode of
+        that generation's record bytes."""
+        compiled = CompaqtCompiler(window_size=16).compile_library(
+            ibm_device("bogota").pulse_library()
+        )
+        root = tmp_path / "bogota.cqs"
+        save_store(compiled, root, n_shards=3).close()
+        before = open_store(root)
+        key = before.keys()[0]
+        with StoreWriter(root) as writer:
+            waveform = writer.store.decode_many([key])[0]
+            result = CompaqtCompiler().compile_waveform(
+                waveform.with_samples(np.roll(waveform.samples, 3) * 0.8)
+            )
+            writer.put(key[0], key[1], result)
+            writer.commit()
+        after = open_store(root)
+        assert (before.generation, after.generation) == (0, 1)
+
+        warmed = {}
+        for sharded in (before, after):
+            cache = PulseCache(sharded, capacity=len(sharded))
+            assert cache.prewarm() == len(sharded)
+            warmed[sharded.generation] = cache
+            assert set(sharded._layouts) == set(sharded.keys())
+            for k in sharded.keys():
+                oracle = decompress_waveform(
+                    parse_waveform_scalar(sharded.read_record_bytes(*k))
+                )
+                np.testing.assert_array_equal(cache.peek(*k).samples, oracle.samples)
+            sharded.close()
+        assert set(warmed[0].cached_keys()) == set(warmed[1].cached_keys())
+        np.testing.assert_array_equal(
+            warmed[1].peek(*key).samples, result.reconstructed.samples
+        )
+        assert not np.array_equal(
+            warmed[0].peek(*key).samples, warmed[1].peek(*key).samples
+        )
 
     def test_server_close_releases_pool_and_keeps_serving(self, store):
         sharded, compiled = store

@@ -249,6 +249,13 @@ class TestDispatcherContainment:
             raise RuntimeError("injected dispatcher bug")
 
         pool._handle_result = boom
+        abort = pool._abort
+
+        def lingering_abort(reason):
+            abort(reason)
+            time.sleep(0.3)  # the dispatcher outlives the lane teardown
+
+        pool._abort = lingering_abort
         box = self._decode_with_deadline(pool, keys)
         assert isinstance(box["raised"], DecodeWorkerError)
         # The pool is closed, later submitters fail typed, and every
@@ -269,7 +276,10 @@ class TestDispatcherContainment:
         while not all(unlinked(name) for name in names):
             assert time.time() < deadline, "abort leaked a segment"
             time.sleep(0.01)
+        # close() after the abort still joins the dispatcher, so its
+        # re-raised crash lands inside this test, not a later one.
         pool.close()
+        assert not pool._dispatcher.is_alive()
 
 
 class TestDrain:
