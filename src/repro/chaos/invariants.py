@@ -184,7 +184,7 @@ class InvariantChecker:
                 f"net: fetches {stats.fetches} != fetches_ok "
                 f"{stats.fetches_ok} + request_errors {stats.request_errors}"
             )
-        elif min(stats.overloads, stats.coalesced_keys, stats.protocol_errors) < 0:
+        elif min(stats.overloads, stats.protocol_errors) < 0:
             self._fail("net: a counter went negative")
         else:
             self._pass()

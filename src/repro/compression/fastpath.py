@@ -181,17 +181,6 @@ class _Cursor:
         self.offset = offset
         self.end = len(data) if end is None else end
 
-    def take(self, count: int, what: str) -> bytes:
-        start = self.offset
-        stop = start + count
-        if stop > self.end:
-            raise CompressionError(
-                f"truncated bitstream: needed {count} bytes for {what}, "
-                f"had {self.end - start}"
-            )
-        self.offset = stop
-        return bytes(self.data[start:stop])
-
     def unpack(self, compiled: struct.Struct, what: str) -> tuple:
         """Read one precompiled struct; always returns the value tuple."""
         start = self.offset

@@ -43,14 +43,16 @@ Design points:
   results with :func:`multiprocessing.connection.wait`, reads death
   as EOF, fails only that worker's in-flight keys with a typed
   :class:`~repro.errors.DecodeWorkerError`, and restarts the lane on
-  fresh pipes.  Coalesced waiters never hang.
+  fresh pipes.  No caller waits on a dead lane forever.
 * **Typed errors end to end.**  Worker-side failures are shipped as
   ``(type name, message)`` and mapped back onto the
   :mod:`repro.errors` hierarchy in the parent; anything unknown
   arrives as :class:`~repro.errors.DecodeWorkerError`.
 
-``workers=0`` at the serving layer means "no pool at all" -- the
-in-process fill path is untouched.
+``workers=0`` at the serving layer means "no pool at all": fills
+decode in-process.  Either way the pool only decodes; the cache insert
+happens in the parent through the one fill path,
+:meth:`repro.store.cache.PulseCache.load_many`.
 """
 
 from __future__ import annotations

@@ -12,11 +12,15 @@ path (:meth:`repro.store.sharded.ShardedStore.decode_many`, built on
 :mod:`repro.compression.fastpath`) in one call instead of decoding
 pulse by pulse -- bit-identical to the scalar reference.
 
+Every fill -- demand misses, :meth:`PulseCache.prewarm`, the serving
+layer's pool-fed decodes -- goes through :meth:`PulseCache.load_many`
+and so carries its generation-adoption guard.
+
 The cache is thread-safe (a single reentrant lock guards the LRU map
 and counters) but deliberately does **not** deduplicate concurrent
 misses for the same pulse -- that single-flight policy belongs to the
 serving layer (:class:`repro.store.server.PulseServer`), which holds a
-per-shard lock around fills.
+per-shard lock around fills and is the only dedupe in the stack.
 
 Counters (hits / misses / insertions / evictions) are monotonic and
 exact: every :meth:`get`, :meth:`get_many`, or :meth:`lookup` resolves
@@ -36,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from repro.store.sharded import ShardedStore, normalize_key
 __all__ = ["CacheStats", "PulseCache"]
 
 _Key = Tuple[str, Tuple[int, ...]]
+_Decode = Callable[[ShardedStore, List[_Key]], Sequence[Waveform]]
 
 
 def _lock_samples(waveform: Waveform) -> Waveform:
@@ -192,16 +197,23 @@ class PulseCache:
     # -- fills ----------------------------------------------------------------
 
     def load_many(
-        self, keys: Sequence[Tuple[str, Sequence[int]]]
+        self,
+        keys: Sequence[Tuple[str, Sequence[int]]],
+        decode: Optional[_Decode] = None,
     ) -> Dict[_Key, Waveform]:
-        """Fetch, fused-decode, and insert the given pulses unconditionally.
+        """Fetch, decode, and insert the given pulses unconditionally.
 
-        Records are read as zero-copy mmap span views in per-shard,
-        offset-ordered sequence and decoded through **one**
-        :meth:`~repro.store.sharded.ShardedStore.decode_many` call (the
-        fused bytes→waveform fast path).  Counters are untouched (the
-        caller already accounted the misses); insertions and any
-        evictions they force are recorded.
+        The one fill path: capture the ``(store, epoch)`` snapshot, then
+        decode the distinct keys against it -- by default through
+        **one** :meth:`~repro.store.sharded.ShardedStore.decode_many`
+        call (the fused bytes→waveform fast path); a caller decoding
+        elsewhere (a :class:`~repro.serve_net.workers.DecodePool`)
+        passes ``decode(store, keys)``, returning waveforms in key
+        order.  Results are inserted tagged with the captured store's
+        record versions, or not at all if a generation adoption raced
+        the fill.  Counters are untouched (the caller already accounted
+        the misses); insertions and any evictions they force are
+        recorded.
         """
         unique: List[_Key] = list(
             dict.fromkeys(normalize_key(*key) for key in keys)
@@ -211,7 +223,10 @@ class PulseCache:
         with self._lock:
             store = self.store
             epoch = self._epoch
-        decoded = store.decode_many(unique)
+        if decode is None:
+            decoded = store.decode_many(unique)
+        else:
+            decoded = decode(store, unique)
         preempt("cache.load.pre_insert")
         out: Dict[_Key, Waveform] = {}
         with self._lock:
@@ -226,27 +241,6 @@ class PulseCache:
                     out[key] = _lock_samples(waveform)
                 else:
                     out[key] = self._insert(key, waveform, store)
-        return out
-
-    def insert_decoded(
-        self, pairs: Sequence[Tuple[Tuple[str, Sequence[int]], Waveform]]
-    ) -> Dict[_Key, Waveform]:
-        """Insert already-decoded waveforms (the pool-fed fill path).
-
-        The decode half of :meth:`load_many` without the store read:
-        :class:`~repro.store.server.PulseServer` uses this when a
-        :class:`~repro.serve_net.workers.DecodePool` decoded the misses
-        in a worker process.  Same counter discipline as
-        :meth:`load_many` (lookups untouched, insertions/evictions
-        recorded) and the same :func:`_lock_samples` immutability
-        guarantee on everything inserted.
-        """
-        preempt("cache.load.pre_insert")
-        out: Dict[_Key, Waveform] = {}
-        with self._lock:
-            for key, waveform in pairs:
-                normalized = normalize_key(*key)
-                out[normalized] = self._insert(normalized, waveform)
         return out
 
     def prewarm(self) -> int:
@@ -269,9 +263,7 @@ class PulseCache:
             cold = [key for key in self.store.keys() if key not in self._lru]
         return len(self.load_many(cold[:room]))
 
-    def _insert(
-        self, key: _Key, waveform: Waveform, store: Optional[ShardedStore] = None
-    ) -> Waveform:
+    def _insert(self, key: _Key, waveform: Waveform, store: ShardedStore) -> Waveform:
         """Insert under the lock, evicting least-recent entries to fit.
 
         Stores -- and returns -- the sample-locked form of the waveform
@@ -281,8 +273,6 @@ class PulseCache:
         snapshot it was decoded against) so generation adoption can
         invalidate precisely.
         """
-        if store is None:
-            store = self.store
         try:
             version = store.record_info(*key).version
         except StoreError:

@@ -12,12 +12,18 @@ adds two policies the cache deliberately does not have:
   lock: when N threads miss on the same (or co-sharded) pulses at the
   same moment, one of them decodes while the rest wait and then take
   the freshly cached result (counted in ``coalesced_fills``).  The
-  same window is never decoded twice concurrently.
+  same window is never decoded twice concurrently.  This is the one
+  dedupe layer in the serving stack: the CQN1 socket tier forwards
+  each fetch straight to :meth:`PulseServer.fetch_batch`.
 
 * **Cross-shard parallel fills.**  :meth:`fetch_batch` groups its
   misses by shard and fans the per-shard fills out on a
   :class:`concurrent.futures.ThreadPoolExecutor`, so a batch touching
   K shards pays roughly one shard's fill latency, not K.
+
+Every fill -- in-process or through a decode pool (``workers >= 1``)
+-- is one :meth:`PulseCache.load_many` call, so a fill that raced a
+:meth:`PulseServer.refresh` never leaves superseded samples cached.
 
 Served samples are bit-identical to the scalar reference
 (:func:`repro.compression.pipeline.decompress_channel` via
@@ -134,20 +140,8 @@ class PulseServer:
             if cache is not None
             else PulseCache(store, cache_capacity, metrics=self.metrics)
         )
-        self._pool = None
         self._pool_config = (workers, shm_limit, start_method)
-        if workers > 0:
-            # Imported lazily: repro.serve_net.workers imports from
-            # repro.store, so a module-level import here would cycle.
-            from repro.serve_net.workers import DEFAULT_SHM_LIMIT, DecodePool
-
-            self._pool = DecodePool(
-                store.handle(),
-                workers=workers,
-                shm_limit=DEFAULT_SHM_LIMIT if shm_limit is None else shm_limit,
-                start_method=start_method,
-                metrics=self.metrics,
-            )
+        self._pool = self._start_pool(store)
         # Sized to the hash-routing width; a CQS2 generation's shard
         # *table* can be wider (staged commit files), so fills index
         # these modulo len -- same single-flight guarantee, staged
@@ -282,9 +276,10 @@ class PulseServer:
         :class:`repro.store.writable.StoreWriter`, possibly in another
         process), swaps it in: the cache invalidates precisely by
         (key, version) via :meth:`PulseCache.adopt_store`, the decode
-        pool (if any) is restarted on the new snapshot (workers pin
-        their own generation at open), and the old snapshot's mmap pool
-        is released.  Returns ``True`` iff a new generation was adopted.
+        pool (if any) is restarted on the new snapshot before that
+        adoption (workers pin their own generation at open), and the old
+        snapshot's mmap pool is released.  Returns ``True`` iff a new
+        generation was adopted.
 
         Readers are never blocked: adoption swaps references under the
         cache lock only, and fills in flight against the old snapshot
@@ -298,25 +293,18 @@ class PulseServer:
             if fresh.generation == current.generation:
                 fresh.close()
                 return False
+            # Install the new generation's pool *before* adopt_store bumps
+            # the cache epoch: a fill that captured the new epoch then
+            # reads (in _decode) a pool that decodes the new snapshot.
+            # Fills in between see no pool and decode in-process.
+            old_pool, self._pool = self._pool, None
+            if old_pool is not None:
+                old_pool.close()
+                self._pool = self._start_pool(fresh)
             invalidated = self.cache.adopt_store(fresh)
             self.store = fresh
             self.metrics.counter("server.generation_adoptions").inc()
             self.metrics.counter("server.refresh_invalidations").inc(invalidated)
-            if self._pool is not None:
-                from repro.serve_net.workers import DEFAULT_SHM_LIMIT, DecodePool
-
-                old_pool, self._pool = self._pool, None
-                old_pool.close()
-                workers, shm_limit, start_method = self._pool_config
-                self._pool = DecodePool(
-                    fresh.handle(),
-                    workers=workers,
-                    shm_limit=(
-                        DEFAULT_SHM_LIMIT if shm_limit is None else shm_limit
-                    ),
-                    start_method=start_method,
-                    metrics=self.metrics,
-                )
             current.close()
             return True
 
@@ -345,24 +333,45 @@ class PulseServer:
                     else:
                         to_load.append(key)
                 if to_load:
-                    pool = self._pool
-                    if pool is None:
-                        out.update(self.cache.load_many(to_load))
-                    else:
-                        # The decode runs in a worker process; the insert
-                        # (and its _lock_samples discipline) stays here,
-                        # still under this shard's single-flight lock.
-                        waveforms = pool.decode(to_load)
-                        out.update(
-                            self.cache.insert_decoded(
-                                list(zip(to_load, waveforms))
-                            )
-                        )
+                    out.update(self.cache.load_many(to_load, self._decode))
         self._fill_seconds.observe(time.perf_counter() - started)
         with self._stats_lock:
             self._shard_fills.inc()
             self._coalesced_fills.inc(coalesced)
         return out
+
+    def _decode(self, store: ShardedStore, keys: List[_Key]) -> List[Waveform]:
+        """Decode one fill's misses, in a worker process when a pool runs.
+
+        :meth:`PulseCache.load_many` calls this *after* capturing its
+        ``(store, epoch)`` snapshot, so the pool read here is at least
+        as new as that epoch (:meth:`refresh` installs a new pool before
+        bumping it), and a pool decode that raced an adoption is caught
+        by the epoch check instead of being cached.  The insert (and
+        its ``_lock_samples`` discipline) stays in this process, still
+        under the caller's shard lock.
+        """
+        pool = self._pool
+        if pool is None:
+            return store.decode_many(keys)
+        return pool.decode(keys)
+
+    def _start_pool(self, store: ShardedStore):
+        """A :class:`DecodePool` on ``store``'s directory, or ``None``."""
+        workers, shm_limit, start_method = self._pool_config
+        if workers == 0:
+            return None
+        # Imported lazily: repro.serve_net.workers imports from
+        # repro.store, so a module-level import here would cycle.
+        from repro.serve_net.workers import DEFAULT_SHM_LIMIT, DecodePool
+
+        return DecodePool(
+            store.handle(),
+            workers=workers,
+            shm_limit=DEFAULT_SHM_LIMIT if shm_limit is None else shm_limit,
+            start_method=start_method,
+            metrics=self.metrics,
+        )
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.errors import CompressionError, ReproError, StoreError
 from repro.compression.bitstream import parse_waveform, parse_waveform_scalar

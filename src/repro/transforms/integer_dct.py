@@ -32,7 +32,6 @@ from repro.errors import CompressionError
 from repro.transforms.csd import (
     OpCount,
     csd_digits,
-    multiplier_cost,
     shared_multiplier_cost,
     shift_add_multiply,
 )

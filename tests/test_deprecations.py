@@ -96,7 +96,6 @@ class TestStatsDictSurface:
             fetches_ok=1,
             pulses_served=4,
             overloads=0,
-            coalesced_keys=0,
             request_errors=0,
             protocol_errors=0,
             draining=False,
@@ -152,7 +151,6 @@ class TestStatsKeySetPins:
         "fetches_ok",
         "pulses_served",
         "overloads",
-        "coalesced_keys",
         "request_errors",
         "protocol_errors",
         "draining",
@@ -203,7 +201,6 @@ class TestStatsKeySetPins:
             fetches_ok=0,
             pulses_served=0,
             overloads=0,
-            coalesced_keys=0,
             request_errors=0,
             protocol_errors=0,
             draining=False,

@@ -368,9 +368,10 @@ class _BlockingStore:
 class _KeyGateStore:
     """Test double: shard routing for one gate name parks until released."""
 
-    def __init__(self, store, gate_name, release):
+    def __init__(self, store, gate_name, reached, release):
         self._store = store
         self._gate_name = gate_name
+        self._reached = reached
         self._release = release
 
     def __getattr__(self, name):
@@ -378,61 +379,52 @@ class _KeyGateStore:
 
     def shard_of(self, gate, qubits):
         if gate == self._gate_name:
+            self._reached.set()
             assert self._release.wait(timeout=10), "gate never released"
         return self._store.shard_of(gate, qubits)
 
 
 class TestCoalescingFailureScope:
     def test_bad_key_does_not_poison_coalesced_valid_key(self, store, reference):
-        """A batch failing on one bad key must not fail a concurrent
-        request coalesced onto a *valid* key in the same batch.
+        """A request carrying an unknown key fails typed, and a concurrent
+        request for a valid key it shares is served bit-identically.
 
-        Regression: the batch's exception used to fan out to every
-        owned in-flight future, so the coalesced valid-only request
-        failed spuriously.
+        The mixed request is parked inside the serving layer (past its
+        miss on the valid key) while the valid-only request is served
+        over a second connection; releasing it then fails only the
+        mixed request.
         """
         valid = store.keys()[0]
         bad = ("no-such-gate", (99,))
-        gate = threading.Event()
-        gated = _KeyGateStore(store, "no-such-gate", gate)
+        reached, release = threading.Event(), threading.Event()
+        gated = _KeyGateStore(store, bad[0], reached, release)
+        outcome = {}
+        with PulseServer(gated, cache_capacity=64) as serving:
+            with serve_in_thread(serving) as handle:
 
-        async def _run():
-            with PulseServer(gated, cache_capacity=64) as serving:
-                server = NetPulseServer(serving)
-                await server.start()
+                def mixed():
+                    with PulseClient(*handle.address) as client:
+                        try:
+                            client.fetch_batch([valid, bad])
+                        except Exception as exc:
+                            outcome["mixed"] = exc
+
+                mixed_thread = threading.Thread(target=mixed)
+                mixed_thread.start()
                 try:
-                    mixed = protocol.FetchRequest(
-                        mode=protocol.MODE_SAMPLES, keys=(valid, bad)
-                    )
-                    valid_only = protocol.FetchRequest(
-                        mode=protocol.MODE_SAMPLES, keys=(valid,)
-                    )
-                    task_mixed = asyncio.create_task(server._serve_fetch(mixed))
-                    # The mixed batch is parked inside shard routing on
-                    # the executor; its event-loop futures exist now.
-                    while valid not in server._inflight_keys:
-                        await asyncio.sleep(0.001)
-                    task_valid = asyncio.create_task(
-                        server._serve_fetch(valid_only)
-                    )
-                    while server.stats().coalesced_keys < 1:
-                        await asyncio.sleep(0.001)
-                    gate.set()  # the batch now fails on the bad key
-
-                    reply = await task_valid  # must NOT be poisoned
-                    decoded = protocol.decode_reply(reply[4:])
-                    assert decoded.status == protocol.STATUS_OK
-                    waveform = protocol.decode_samples_item(
-                        decoded.items[0], *valid
-                    )
+                    assert reached.wait(10), "mixed request never parked"
+                    with PulseClient(*handle.address) as client:
+                        (waveform,) = client.fetch_batch([valid])
                     assert waveform.samples.tobytes() == reference[valid]
-
-                    with pytest.raises(StoreError, match="no pulse"):
-                        await task_mixed
+                    assert mixed_thread.is_alive()  # still parked
                 finally:
-                    await server.aclose(drain_timeout=1.0)
-
-        asyncio.run(_run())
+                    release.set()
+                    mixed_thread.join(timeout=10)
+                assert isinstance(outcome.get("mixed"), StoreError)
+                assert "no pulse" in str(outcome["mixed"])
+                stats = handle.stats()
+                assert stats.request_errors == 1
+                assert stats.fetches_ok == 1
 
 
 class TestDrainRacesInflight:

@@ -24,7 +24,6 @@ from repro.store import (
     PulseCache,
     PulseServer,
     load_trace,
-    open_store,
     save_store,
     synthetic_trace,
     write_trace,

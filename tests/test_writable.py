@@ -3,12 +3,14 @@ recovery at every hook point, manifest fuzzing, snapshot adoption, and
 the scrub tool."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression.pipeline import decompress_waveform
 from repro.errors import ReproError, StoreError
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
@@ -503,6 +505,57 @@ class TestAdoptionAndRefresh:
             counters = server.metrics_snapshot()["counters"]
             assert counters["server.generation_adoptions"] == 1
             assert counters["cache.invalidations"] >= 1
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_fill_racing_refresh_never_caches_superseded_samples(
+        self, store_dir, workers
+    ):
+        """A fill that decoded the old generation but inserts after
+        ``refresh()`` adopted a re-put of its key must not cache the
+        superseded samples -- in-process or through the decode pool.
+
+        The racing reader itself still gets its own (old-generation)
+        snapshot back; the next fetch serves the new generation.
+        """
+        with PulseServer(
+            open_store(store_dir), cache_capacity=32, workers=workers
+        ) as server:
+            key = server.store.keys()[0]
+            old = decompress_waveform(server.store.read_record(*key)).samples
+            if workers:
+                target, name = server.pool, "decode"
+            else:
+                target, name = server.store, "decode_many"
+            inner = getattr(target, name)
+            decoded, release = threading.Event(), threading.Event()
+
+            def decode_then_park(keys):
+                waveforms = inner(keys)
+                decoded.set()
+                assert release.wait(timeout=30), "fill never released"
+                return waveforms
+
+            setattr(target, name, decode_then_park)
+            raced = {}
+            fill = threading.Thread(
+                target=lambda: raced.update(waveform=server.fetch(*key))
+            )
+            fill.start()
+            try:
+                assert decoded.wait(timeout=30), "fill never decoded"
+                with StoreWriter(store_dir) as writer:
+                    writer.put(key[0], key[1], _recalibrated(writer.store, key))
+                    writer.commit()
+                assert server.refresh() is True
+            finally:
+                release.set()
+                fill.join(timeout=30)
+            assert not fill.is_alive()
+            assert np.array_equal(raced["waveform"].samples, old)
+
+            expected = decompress_waveform(server.store.read_record(*key)).samples
+            assert not np.array_equal(expected, old)
+            assert np.array_equal(server.fetch(*key).samples, expected)
 
 
 class TestVerifyTool:
